@@ -9,8 +9,10 @@ Subcommands::
     convert    translate a point between coordinate systems
 
 Output formats: ``plain`` (6 significant digits), ``csv`` and ``json`` (full
-float precision).  Exit codes: 0 success, 2 usage or configuration parse
-error, 3 domain error, 4 internal numerical failure.
+float precision).  Exit codes: 0 success, 2 usage or configuration error
+(including an unreadable ``--config`` file and a non-integer
+``EFFECTGEOM_WORKERS``), 3 domain error, 4 internal failure.  No user input
+exits 4.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from . import coords as coords_mod
 from . import power, table, volume
-from .errors import EffectGeomError
+from .errors import ConfigError, EffectGeomError
 from .homogeneity import (
     HomogeneityQuery,
     complete_table,
@@ -39,10 +41,6 @@ _CONVERT_FIELDS = {
     "logistic": ("b0", "b1", "a0", "a1"),
     "rr_eta": ("alpha0", "alpha1", "e0", "e1"),
 }
-
-
-class ConfigError(Exception):
-    """Configuration document cannot be parsed; message cites the line."""
 
 
 def _fmt(x) -> str:
@@ -285,8 +283,12 @@ def _volume_rows(prior: volume.PriorSpec, targets: list[str], workers) -> list[d
 
 def cmd_volume(args) -> str:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            keys, targets = parse_prior_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config!r}: {exc}") from None
+        keys, targets = parse_prior_config(text)
         prior = volume.PriorSpec(
             system=keys["system"],
             n_samples=keys["n_samples"],
@@ -304,18 +306,8 @@ def cmd_volume(args) -> str:
     rows = _volume_rows(prior, targets, args.workers)
     if args.format == "json":
         return _emit_json(rows)
-    header = [
-        "system",
-        "target",
-        "n_samples",
-        "seed",
-        "probability",
-        "std_error",
-        "n_compatible",
-        "analytic",
-    ]
     if args.format == "csv":
-        return _emit_csv(header, [[row[k] for k in header] for row in rows])
+        return _emit_csv(list(rows[0]), [list(row.values()) for row in rows])
     lines = []
     for row in rows:
         extra = "" if row["analytic"] is None else f"  (analytic {_fmt(row['analytic'])})"
@@ -361,17 +353,8 @@ def cmd_power(args) -> str:
     ]
     if args.format == "json":
         return _emit_json(rows)
-    header = [
-        "scale",
-        "n_pattern",
-        "alpha",
-        "reps",
-        "rejection_rate",
-        "std_error",
-        "degenerate_count",
-    ]
     if args.format == "csv":
-        return _emit_csv(header, [[row[k] for k in header] for row in rows])
+        return _emit_csv(list(rows[0]), [list(row.values()) for row in rows])
     lines = [
         f"{row['scale']}: rejection rate = {_fmt(row['rejection_rate'])} "
         f"+- {_fmt(row['std_error'])}  (alpha {_fmt(row['alpha'])}, reps {row['reps']}, "
@@ -530,8 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value that starts with "-" as a flag
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--bounds":
+            argv[i : i + 2] = ["--bounds=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
     try:
         sys.stdout.write(args.fn(args))
     except ConfigError as exc:

@@ -22,8 +22,8 @@ an effect coordinate pair and a nuisance coordinate pair:
 ``rr_eta``     log shifted-odds contrast / log relative risk.  ``e0`` is
                ``log eta`` of stratum 0 and ``e1`` the cross-stratum log-eta
                shift.  Inversion is set valued (eta is an absolute value) and
-               can be empty: at fixed relative risk r > 1 the contrast is
-               bounded below by a positive minimum, computed in closed form
+               can be empty: at fixed relative risk r >= 1 the contrast is
+               bounded below by a positive floor, computed in closed form
                here (`eta_infimum`).
 
 The ``poisson`` system is variation dependent: exponentiating can push a
@@ -53,11 +53,6 @@ from .table import (
 SYSTEMS = ("prob", "poisson", "rr_op", "logistic", "rr_eta")
 
 LOG_1P5 = math.log(1.5)
-
-# Anchors for root bracketing, as fractions of the open parameter interval.
-_U_LO = 1e-18
-_U_HI_MARGIN = 1e-13
-_BISECT_ITERS = 80
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -213,8 +208,8 @@ def from_poisson(c: PoissonCoords) -> RiskTable:
 # ---------------------------------------------------------------------------
 
 
-def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
-    """Unique stratum pair with log relative risk theta and log odds product phi.
+def rr_op_risks_vec(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Stratum risks (p0, p1) with log relative risk theta and log odds product phi.
 
     With r = e^theta, w = e^phi and p1 = r p0, the odds-product equation is
     the quadratic
@@ -228,16 +223,31 @@ def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
 
     where the discriminant form ``w [w (1-r)^2 + 4 r]`` is positive by
     construction (no subtraction).  The w = 1 degenerate (linear) case lands
-    on the same formula: p0 = 1 / (1 + r).
+    on the same formula: p0 = 1 / (1 + r).  Element-wise over arrays.  In
+    floats the root can fall outside the open-interval guard
+    (`DEFAULT_EPS`) once |theta| or |phi| is large.
+    """
+    r = np.exp(theta)
+    w = np.exp(phi)
+    one_minus_r = -np.expm1(theta)  # 1 - r without cancellation
+    disc = w * (w * one_minus_r * one_minus_r + 4.0 * r)
+    p0 = 2.0 * w / (w * (1.0 + r) + np.sqrt(disc))
+    return p0, r * p0
+
+
+def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
+    """Unique stratum pair with log relative risk theta and log odds product phi.
+
+    `rr_op_risks_vec` at a single point.
+
+    Raises:
+        DomainError: if a risk falls outside the open-interval guard.
     """
     theta = _check_finite("theta", theta)
     phi = _check_finite("phi", phi)
-    r = math.exp(theta)
-    w = math.exp(phi)
-    one_minus_r = -math.expm1(theta)  # 1 - r without cancellation
-    disc = w * (w * one_minus_r * one_minus_r + 4.0 * r)
-    p0 = 2.0 * w / (w * (1.0 + r) + math.sqrt(disc))
-    return StratumPair(p0, r * p0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, p1 = rr_op_risks_vec(theta, phi)
+    return StratumPair(p0, p1)
 
 
 def to_rr_op(t: RiskTable) -> RrOpCoords:
@@ -300,67 +310,115 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
 #
 # on the open interval (0, B), B = min(1, 1/r), and eta = |g|.
 #
-# Shape of g (all verifiable by elementary calculus; the derivative's
-# numerator collapses to the quadratic  (r^2 - 1.5 r) p0^2 + r p0 - 0.5):
+# Level curves.  With k = e^s, g(p0; r) = s is exactly the quadratic
 #
-#   r < 1 : strictly decreasing, +inf -> -inf.  Every level is hit once per
-#           sign branch, so eta attains all of (0, inf) and 0 itself at
-#           p0 = 0.5 / (1.5 - r).
-#   r = 1 : strictly decreasing, +inf -> log 1.5.  Infimum log 1.5, open.
-#   r > 1 : +inf at both ends with a single interior minimum at
-#           p0* = 1 / (r + sqrt(3 r (r - 1)))  (positive root of the
-#           derivative quadratic, written in its stable form), so eta is
-#           bounded below by m(r) = g(p0*) > log 1.5 and g = c has two
-#           roots for c > m(r), one on each side of p0*.
+#     r (k - 1) p0^2 + (r - 0.5 - k) p0 + 0.5 = 0 .
+#
+# Put b = r - 0.5 - k, 1 - k = -expm1(s) and D = b^2 + 2 r (1 - k).  The root
+# 1 / (sqrt(D) - b) is the smaller positive root whenever the quadratic has a
+# positive root.  It is evaluated as written when b <= 0 and as
+# (sqrt(D) + b) / (2 r (1 - k)) when b > 0, so neither form subtracts nearly
+# equal numbers (Higham, Accuracy and Stability of Numerical Algorithms,
+# sec. 1.8).  Vieta gives the other root, 0.5 / (r (k - 1) p0).
+#
+# Shape, for the two sign branches s = +c and s = -c (c > 0):
+#
+#   r < 1 : g falls strictly from +inf to -inf.  On each branch the smaller
+#           positive root is the only root in (0, B); its partner is > 1
+#           (s > 0) or negative (s < 0).  eta attains every level in (0, inf).
+#   r = 1 : g falls strictly from +inf to log 1.5.  p0 = 1 solves both
+#           branches' quadratics but lies outside (0, 1); the other root,
+#           0.5 / (k - 1), lies in (0, 1) iff c > log 1.5.  The infimum
+#           log 1.5 is not attained.
+#   r > 1 : g > 0 and tends to +inf at both ends, with one interior minimum:
+#           the floor
+#
+#               m(r) = log(2 r - 0.5 + sqrt(3 r (r - 1))) ,
+#
+#           the level at which the two roots of the s = +c quadratic merge
+#           (D = 0).  For c > m(r) both roots lie in (0, B); the smaller is
+#           the left one.  D < 0 only here, for levels below the floor; the
+#           real roots that lower levels have lie outside (0, B), like every
+#           root of the s = -c branch.
 #
 # Consequently eta is NOT attainable below m(r) once r >= 1: the contrast is
-# variation dependent on the relative risk in that regime.  `eta_infimum`
-# and `eta_attainable` expose this boundary; the solvers below enumerate the
-# complete root set exactly (one bisection per monotone piece).
+# variation dependent on the relative risk in that regime (m(1) = log 1.5).
+# `eta_infimum` and `eta_attainable` expose this boundary; r - 1 enters the
+# floor only as expm1(theta), so it stays accurate as theta -> 0.
+#
+# A root is kept when p0 and r p0 both lie in [eps, 1 - eps] (`DEFAULT_EPS`),
+# the rule `StratumPair` applies.  The guard also drops every root outside
+# (0, B), including p0 = 1 at r = 1.
+#
+# Near the floor D is a difference of nearly equal numbers, and rounding
+# (about 1e-15 b^2) can give it either sign.  Where |D| <= 1e-8 b^2 the
+# closed-form floor decides instead: D is raised to at least 0 for c >= m(r),
+# giving the double root 1 / (-b) there, and dropped for c < m(r).  Roots
+# therefore exist exactly when `eta_attainable` calls the level attained.
+#
+# Log odds ratio.  On a level curve (1 - p0) / (1 - r p0) = k p0 / (r p0 + 0.5),
+# so the log odds ratio of a root is
+#
+#     theta + s + log p0 - log(r p0 + 0.5) ,
+#
+# with no 1 - p formed.  It increases with p0 along a branch, so each
+# branch's smallest kept root carries that branch's smallest log odds ratio.
 
 
-def _g(p0: float, r: float) -> float:
+#: Half-width, relative to b^2, of the band around D = 0 decided by the floor.
+_D_BAND = 1e-8
+
+
+def _eta_floor(theta: np.ndarray) -> np.ndarray:
+    """Closed-form floor m(e^theta) of the contrast; 0 where theta < 0."""
+    up = np.maximum(theta, 0.0)
+    r = np.exp(up)
+    m = np.log(2.0 * r - 0.5 + np.sqrt(3.0 * r * np.expm1(up)))
+    return np.where(theta < 0.0, 0.0, m)
+
+
+def _in_guard(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whether p0 and r p0 both lie in [eps, 1 - eps], as `StratumPair` requires."""
     p1 = r * p0
-    return math.log1p(-p0) + math.log(p1 + 0.5) - math.log1p(-p1) - math.log(p0)
+    lo, hi = DEFAULT_EPS, 1.0 - DEFAULT_EPS
+    return (p0 >= lo) & (p0 <= hi) & (p1 >= lo) & (p1 <= hi)
 
 
-def _g_vec(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
-    p1 = r * p0
-    return np.log1p(-p0) + np.log(p1 + 0.5) - np.log1p(-p1) - np.log(p0)
+def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
+    """Smaller positive root of g(p0; r) = s and its Vieta partner (NaN if none)."""
+    b = r - 0.5 - k
+    b2 = b * b
+    D = b2 + 2.0 * r * one_minus_k
+    # rounding can decide the sign of D only in this band (shape notes)
+    near = np.flatnonzero(np.abs(D) <= _D_BAND * b2)
+    if near.size:
+        at_or_above = s[near] >= _eta_floor(theta[near])
+        D[near] = np.where(at_or_above, np.maximum(D[near], 0.0), np.nan)
+    sq = np.sqrt(D)
+    p0 = np.where(b <= 0.0, 1.0 / (sq - b), (sq + b) / (2.0 * r * one_minus_k))
+    return p0, -0.5 / (r * one_minus_k * p0)
 
 
-def _interval_sup(r: float) -> float:
-    return min(1.0, 1.0 / r)
-
-
-def _anchor_lo(B: float, c: float) -> float:
-    # far enough left that g > c there; adaptive for very large targets
-    u = min(_U_LO, math.exp(-min(c + 3.0, 700.0)))
-    return B * max(u, 1e-300)
-
-
-def _anchor_hi(B: float) -> float:
-    return B * (1.0 - _U_HI_MARGIN)
-
-
-def _critical_point(r: float) -> float:
-    # interior minimum of g for r > 1; stable root of the derivative quadratic
-    return 1.0 / (r + math.sqrt(3.0 * r * (r - 1.0)))
+def _level_roots(theta: np.ndarray, c: np.ndarray):
+    """``r`` and the (smaller, partner) roots of the branches g = +c and g = -c."""
+    r = np.exp(theta)
+    k = np.exp(c)
+    em1 = np.expm1(c)
+    plus = _branch_roots(theta, r, c, k, -em1)
+    minus = _branch_roots(theta, r, -c, 1.0 / k, em1 / k)
+    return r, plus, minus
 
 
 def eta_infimum(theta: float) -> float:
     """Greatest lower bound of the shifted-odds contrast at fixed log RR.
 
     Zero for theta < 0 (attained), log 1.5 for theta = 0 (not attained), and
-    the interior minimum m(r) = g(p0*) for theta > 0 (attained).
+    the floor m(r) = log(2 r - 0.5 + sqrt(3 r (r - 1))) for theta > 0
+    (attained).
     """
     theta = _check_finite("theta", theta)
-    if theta < 0.0:
-        return 0.0
-    if theta == 0.0:
-        return LOG_1P5
-    r = math.exp(theta)
-    return _g(_critical_point(r), r)
+    with np.errstate(over="ignore"):
+        return float(_eta_floor(np.array([theta]))[0])
 
 
 def eta_attainable(theta: float, c: float) -> bool:
@@ -368,40 +426,16 @@ def eta_attainable(theta: float, c: float) -> bool:
     theta = _check_finite("theta", theta)
     if not c > 0.0:
         raise DomainError(f"contrast level must be > 0, got {c!r}")
-    if theta < 0.0:
-        return True
-    if theta == 0.0:
-        return c > LOG_1P5
-    return c >= eta_infimum(theta)
-
-
-def _bisect_g(r: float, target: float, lo: float, hi: float) -> float | None:
-    """Root of g = target on [lo, hi], assuming g is monotone there.
-
-    Returns None when the bracket does not straddle the target (level not
-    attained on this piece, or only at float-unrepresentable endpoints).
-    """
-    glo, ghi = _g(lo, r), _g(hi, r)
-    if not (min(glo, ghi) < target < max(glo, ghi)):
-        return None
-    increasing = ghi > glo
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if (_g(mid, r) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bool(eta_attainable_vec(np.array([theta]), np.array([float(c)]))[0])
 
 
 def solve_stratum_from_rr_eta(theta: float, c: float) -> StratumSolutionSet:
     """All stratum pairs with log relative risk ``theta`` and contrast ``c``.
 
-    Roots of g = +c and g = -c are enumerated exactly using the monotone
-    structure of g (see the shape notes above): one bisection per sign branch
-    when the contrast is monotone (r <= 1), and one per side of the interior
-    minimum when r > 1.  Pairs whose baseline risk falls outside the
-    open-interval guard are dropped.
+    The roots of g = +c and g = -c are the roots of one quadratic per sign
+    branch (see the shape notes above), with at most two inside the
+    open-interval guard.  Pairs whose risks fall outside the guard are
+    dropped.
 
     Raises:
         DomainError: if ``c <= 0`` (a log-scale coordinate never hits 0).
@@ -411,36 +445,15 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> StratumSolutionSet:
         raise DomainError(f"contrast level must be > 0, got {c!r}")
     if math.isinf(c):
         return StratumSolutionSet(())
-    r = math.exp(theta)
-    B = _interval_sup(r)
-    hi = _anchor_hi(B)
-    roots: list[float] = []
-    if theta <= 0.0:
-        for target in (c, -c):
-            root = _bisect_g(r, target, _anchor_lo(B, c), hi)
-            if root is not None:
-                roots.append(root)
-    else:
-        p0s = _critical_point(r)
-        m = _g(p0s, r)
-        if c == m:
-            roots.append(p0s)
-        elif c > m:
-            left = _bisect_g(r, c, _anchor_lo(B, c), p0s)
-            right = _bisect_g(r, c, p0s, hi)
-            roots.extend(p for p in (left, right) if p is not None)
-    roots.sort()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r, plus, minus = _level_roots(np.array([theta]), np.array([float(c)]))
+        roots = sorted(float(p[0]) for p in (*plus, *minus) if _in_guard(p, r)[0])
     deduped: list[float] = []
     for p in roots:
         if not deduped or p - deduped[-1] > 1e-9:
             deduped.append(p)
-    pairs = []
-    for p0 in deduped:
-        try:
-            pairs.append(StratumPair(p0, r * p0))
-        except DomainError:
-            continue  # root exists but lies outside the open-interval guard
-    return StratumSolutionSet(tuple(pairs))
+    r = float(r[0])
+    return StratumSolutionSet(tuple(StratumPair(p0, r * p0) for p0 in deduped))
 
 
 def to_rr_eta(t: RiskTable) -> RrEtaCoords:
@@ -481,44 +494,12 @@ def from_rr_eta(c: RrEtaCoords) -> list[RiskTable]:
 
 
 def eta_attainable_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized `eta_attainable` (identical decisions, element-wise)."""
+    """Element-wise `eta_attainable`: ``c`` at or above the floor (above, at theta = 0)."""
     theta = np.asarray(theta, dtype=float)
     c = np.asarray(c, dtype=float)
-    out = np.ones(theta.shape, dtype=bool)
-    pos = theta > 0.0
-    if pos.any():
-        r = np.exp(theta[pos])
-        p0s = 1.0 / (r + np.sqrt(3.0 * r * (r - 1.0)))
-        out[pos] = c[pos] >= _g_vec(p0s, r)
-    zero = theta == 0.0
-    if zero.any():
-        out[zero] = c[zero] > LOG_1P5
-    return out
-
-
-def _bisect_g_vec(
-    r: np.ndarray, target: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Vectorized monotone bisection; NaN where the bracket fails to straddle."""
-    glo = _g_vec(lo, r)
-    ghi = _g_vec(hi, r)
-    valid = np.minimum(glo, ghi) < target
-    valid &= target < np.maximum(glo, ghi)
-    increasing = ghi > glo
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        move_lo = (_g_vec(mid, r) < target) == increasing
-        lo = np.where(move_lo, mid, lo)
-        hi = np.where(move_lo, hi, mid)
-    root = 0.5 * (lo + hi)
-    return np.where(valid, root, np.nan)
-
-
-def _log_or_of_root(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
-    p1 = r * p0
-    return (np.log(p1) - np.log1p(-p1)) - (np.log(p0) - np.log1p(-p0))
+    with np.errstate(over="ignore"):
+        floor = _eta_floor(theta)
+    return np.where(theta == 0.0, c > floor, c >= floor)
 
 
 def eta_min_log_odds_ratio_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -529,45 +510,21 @@ def eta_min_log_odds_ratio_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     log odds ratios below ``c1 - log 1.5``, so a match for a second stratum
     exists iff this minimum is under that bound.
 
-    Only the roots that can realize the minimum are computed: for r > 1 the
-    two roots share the +c branch and the left one (smaller treated risk)
-    always has the smaller odds ratio.
+    Each sign branch contributes its smallest root inside the guard, which
+    carries the branch's smallest log odds ratio (shape notes above).  That
+    is the smaller root, except on the g = +c branch where the smaller root
+    lies below eps: there the Vieta partner (the right root, for r > 1) may
+    still be inside.  No other partner ever is: it is >= 1 on the g = +c
+    branch for r <= 1, and negative on the g = -c branch.  Agrees with
+    `solve_stratum_from_rr_eta` point by point.
     """
     theta = np.asarray(theta, dtype=float)
     c = np.asarray(c, dtype=float)
-    n = theta.shape[0]
-    r = np.exp(theta)
-    B = np.minimum(1.0, 1.0 / r)
-    lo = B * np.maximum(np.minimum(_U_LO, np.exp(-np.minimum(c + 3.0, 700.0))), 1e-300)
-    hi = B * (1.0 - _U_HI_MARGIN)
-    best = np.full(n, np.inf)
-
-    dec = theta <= 0.0  # g monotone decreasing: one root per sign branch
-    if dec.any():
-        rd, cd, lod, hid = r[dec], c[dec], lo[dec], hi[dec]
-        vals = np.full(rd.shape, np.inf)
-        for sign in (1.0, -1.0):
-            root = _bisect_g_vec(rd, sign * cd, lod, hid)
-            ok = ~np.isnan(root)
-            if ok.any():
-                vals[ok] = np.minimum(vals[ok], _log_or_of_root(root[ok], rd[ok]))
-        best[dec] = vals
-
-    up = ~dec
-    if up.any():
-        ru, cu, lou = r[up], c[up], lo[up]
-        p0s = 1.0 / (ru + np.sqrt(3.0 * ru * (ru - 1.0)))
-        m = _g_vec(p0s, ru)
-        vals = np.full(ru.shape, np.inf)
-        at_min = cu == m
-        if at_min.any():
-            vals[at_min] = _log_or_of_root(p0s[at_min], ru[at_min])
-        solvable = cu > m
-        if solvable.any():
-            root = _bisect_g_vec(ru[solvable], cu[solvable], lou[solvable], p0s[solvable])
-            ok = ~np.isnan(root)
-            sub = np.full(root.shape, np.inf)
-            sub[ok] = _log_or_of_root(root[ok], ru[solvable][ok])
-            vals[solvable] = sub
-        best[up] = vals
-    return best
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r, (p_plus, partner), (p_minus, _) = _level_roots(theta, c)
+        p_plus = np.where(p_plus >= DEFAULT_EPS, p_plus, partner)
+        best = np.full(theta.shape, np.inf)
+        for s, p0 in ((c, p_plus), (-c, p_minus)):
+            log_or = s + np.log(p0 / (r * p0 + 0.5))
+            best = np.minimum(best, np.where(_in_guard(p0, r), log_or, np.inf))
+        return theta + best

@@ -2,7 +2,8 @@
 
 Public functions never raise a bare ``ValueError``: callers can rely on
 ``EffectGeomError`` (or one of its subclasses) for everything the library
-rejects on purpose.
+rejects on purpose.  The command line exits 2 on ``ConfigError`` and 3 on
+every other ``EffectGeomError``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ class EffectGeomError(Exception):
 
 class DomainError(EffectGeomError, ValueError):
     """An input violates its contract (range, sign, shape, or finiteness)."""
+
+
+class ConfigError(EffectGeomError):
+    """A configuration document, file or setting cannot be read or parsed.
+
+    The message cites the offending line or setting.
+    """
 
 
 class OutOfDomainError(EffectGeomError):

@@ -15,12 +15,18 @@ Two related questions are answered here:
 Compatibility semantics per system:
 
 ``prob``     the 3-tuple is ``(p00, p10, p01)``; delegate to the completion.
-``rr_op``    the 3-tuple is ``(alpha0, gamma0, gamma1)``.  Both targets are
-             always compatible; the check constructs the witness table
-             (log-RR target via the quadratic stratum solver with the
-             interaction pinned to zero; log-OR target by splitting the
-             stratum-1 log odds product s and the stratum-0 log odds ratio o
-             into logit p11 = (s + o)/2, logit p10 = (s - o)/2).
+``rr_op``    the 3-tuple is ``(alpha0, gamma0, gamma1)``.  The check
+             constructs the witness table (log-RR target via the quadratic
+             stratum solver with the interaction pinned to zero; log-OR
+             target by splitting the stratum-1 log odds product s and the
+             stratum-0 log odds ratio o into logit p11 = (s + o)/2,
+             logit p10 = (s - o)/2).  In exact arithmetic both targets are
+             always compatible.  Here a point is compatible iff its witness
+             risks lie strictly inside the guard (``DEFAULT_EPS``, 1e-12):
+             the verdict is True on the guard-bounded part of the space,
+             roughly |alpha0| < log 1e12 = 27.6 with moderate odds
+             products, and False beyond it.  At alpha0 = 700, for example,
+             p0 < 1e-12.
 ``rr_eta``   the 3-tuple is ``(alpha0, e0, e1)``.  The log-RR target needs
              the contrast level of each stratum to be attainable at the
              shared relative risk; the log-OR target needs some stratum-0
@@ -43,6 +49,7 @@ from .coords import (
     LOG_1P5,
     eta_attainable_vec,
     eta_min_log_odds_ratio_vec,
+    rr_op_risks_vec,
 )
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
 from .table import DEFAULT_EPS, MEASURES, _check_prob
@@ -168,32 +175,19 @@ def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
 def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
     alpha0, gamma0, gamma1 = points[:, 0], points[:, 1], points[:, 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p0, p1 = rr_op_risks_vec(alpha0, gamma0)
+        ok = _interior(p0) & _interior(p1)
         if target == "rr":
-            ok = np.ones(points.shape[0], dtype=bool)
-            # both strata share theta = alpha0; solve each stratum's quadratic
-            for phi in (gamma0, gamma0 + gamma1):
-                r = np.exp(alpha0)
-                w = np.exp(phi)
-                one_minus_r = -np.expm1(alpha0)
-                disc = w * (w * one_minus_r * one_minus_r + 4.0 * r)
-                p0 = 2.0 * w / (w * (1.0 + r) + np.sqrt(disc))
-                p1 = r * p0
-                ok &= _interior(p0) & _interior(p1)
-            return ok
-        # target "or": stratum 0 from (alpha0, gamma0); stratum 1 on its
-        # odds-product level with the matching log odds ratio
-        r = np.exp(alpha0)
-        w = np.exp(gamma0)
-        one_minus_r = -np.expm1(alpha0)
-        disc = w * (w * one_minus_r * one_minus_r + 4.0 * r)
-        p0 = 2.0 * w / (w * (1.0 + r) + np.sqrt(disc))
-        p1 = r * p0
+            # both strata share theta = alpha0
+            p0, p1 = rr_op_risks_vec(alpha0, gamma0 + gamma1)
+            return ok & _interior(p0) & _interior(p1)
+        # target "or": stratum 1 on its odds-product level with the matching
+        # log odds ratio
         log_or0 = (np.log(p1) - np.log1p(-p1)) - (np.log(p0) - np.log1p(-p0))
         s = gamma0 + gamma1
-        with np.errstate(over="ignore"):
-            p11 = 1.0 / (1.0 + np.exp(-(s + log_or0) / 2.0))
-            p10 = 1.0 / (1.0 + np.exp(-(s - log_or0) / 2.0))
-        return _interior(p0) & _interior(p1) & _interior(p10) & _interior(p11)
+        p11 = 1.0 / (1.0 + np.exp(-(s + log_or0) / 2.0))
+        p10 = 1.0 / (1.0 + np.exp(-(s - log_or0) / 2.0))
+        return ok & _interior(p10) & _interior(p11)
 
 
 def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:

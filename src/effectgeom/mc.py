@@ -14,11 +14,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError, DomainError
+
 #: Samples per chunk; fixed so that (seed, chunk index) -> stream is stable.
 CHUNK_SIZE = 65536
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "EFFECTGEOM_WORKERS"
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; it must be an unsigned 64-bit integer."""
+    seed = int(seed)
+    if not (0 <= seed < 2**64):
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -40,14 +50,22 @@ def chunk_layout(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Explicit argument, else the environment override, else 1."""
+    """Explicit argument, else the environment override, else 1.
+
+    Raises:
+        DomainError: if ``workers`` is below 1.
+        ConfigError: if the environment override is not an integer.
+    """
     if workers is not None:
         if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+            raise DomainError(f"workers must be >= 1, got {workers}")
         return int(workers)
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return 1
 
 

@@ -37,7 +37,7 @@ _CELLS = ("00", "01", "10", "11")  # (v, a) order used for all 4-vectors
 
 @dataclass(frozen=True)
 class StudyDesign:
-    """Per-cell sample sizes n[v][a], all >= 1."""
+    """Per-cell sample sizes n[v][a], all >= 1 and below 2**63."""
 
     n00: int
     n01: int
@@ -47,8 +47,8 @@ class StudyDesign:
     def __post_init__(self) -> None:
         for name in ("n00", "n01", "n10", "n11"):
             value = getattr(self, name)
-            if int(value) != value or int(value) < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
+            if int(value) != value or not (1 <= int(value) < 2**63):
+                raise DomainError(f"{name} must be an integer in [1, 2**63), got {value!r}")
             object.__setattr__(self, name, int(value))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
@@ -155,7 +155,7 @@ def wald_interaction_pvalue(counts: CellCounts, scale: str) -> float:
 
 def simulate_dataset(truth: RiskTable, design: StudyDesign, seed: int) -> CellCounts:
     """One canonical dataset: four scalar binomial draws in (v, a) cell order."""
-    rng = mc.chunk_rng(seed, 0)
+    rng = mc.chunk_rng(mc.check_seed(seed), 0)
     probs = (truth.p00, truth.p01, truth.p10, truth.p11)
     events = [int(rng.binomial(n, p)) for n, p in zip(design.as_tuple(), probs)]
     return CellCounts(*events, *design.as_tuple())
@@ -217,11 +217,13 @@ def simulate_power(
     for any worker count.
     """
     alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    # below about 1.1e-16, 1 - alpha/2 rounds to 1, which has no normal quantile
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise DomainError(f"alpha must be in (0, 1) with 1 - alpha/2 < 1 in floats, got {alpha}")
     if int(reps) < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     reps = int(reps)
+    seed = mc.check_seed(seed)
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     truth_cells = (truth.p00, truth.p01, truth.p10, truth.p11)
     totals = mc.run_chunked(

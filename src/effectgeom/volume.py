@@ -14,6 +14,11 @@ closed forms, exposed by `analytic_cube_probability`:
     rr  ->  3/4        P(p10 p01 < p00)           = 1 - E[p10 p01]
     or  ->  1          the odds completion always lands inside (0, 1)
 
+Under ``rr_op`` both targets have probability exactly 1 on every box whose
+witness risks stay inside the open-interval guard (1e-12; see
+:mod:`effectgeom.homogeneity`), and 0 on a box wholly outside it, such as
+alpha0 in [700, 800], where every baseline risk is below 1e-12.
+
 Estimates are bit-reproducible given (seed, n_samples) for any worker count;
 see :mod:`effectgeom.mc`.  An estimate of exactly 1 reports a standard error
 of 0 and carries ``n_compatible`` so that "no counterexample in n draws" is
@@ -66,10 +71,7 @@ class PriorSpec:
         if int(self.n_samples) < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
-        seed = int(self.seed)
-        if not (0 <= seed < 2**64):
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", mc.check_seed(self.seed))
         bounds = self.bounds if self.bounds is not None else DEFAULT_BOUNDS[self.system]
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         if len(bounds) != 3:

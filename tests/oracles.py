@@ -3,19 +3,23 @@
 These deliberately re-derive results by a different route than the package:
 dense-grid bracketing instead of closed-form critical points, brute-force
 scans instead of completion formulas, straight-line scalar arithmetic
-instead of vectorized kernels, and a closed-form contrast floor with an
-exact recount and a quadrature instead of the package's critical-point
-evaluation and Monte Carlo.  Nothing here imports `effectgeom.coords`.
+instead of vectorized kernels, a closed-form contrast floor with an exact
+recount and a quadrature instead of Monte Carlo, and 50-digit bisection of
+the contrast instead of the package's quadratic roots.  Nothing here imports
+`effectgeom.coords`.
 Production code must agree with them within the stated tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from effectgeom import mc
+from effectgeom.table import DEFAULT_EPS
 
 
 def contrast(p0: float, r: float) -> float:
@@ -58,6 +62,79 @@ def grid_eta_solutions(theta: float, c: float, n_grid: int = 2048) -> list[float
         if not out or root - out[-1] > 1e-9:
             out.append(root)
     return out
+
+
+#: Working precision, in significant digits, of the decimal contrast oracle.
+DIGITS = 50
+
+
+@functools.lru_cache(maxsize=1)
+def _logistic_grid() -> tuple[Decimal, ...]:
+    """1 / (1 + e^-t) at t = -80, -79.5, ..., 80, to `DIGITS` digits."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return tuple(1 / (1 + Decimal(-t / 2).exp()) for t in range(-160, 161))
+
+
+def _bisect(above, lo: Decimal, hi: Decimal, steps: int = 200) -> Decimal:
+    """Point where the predicate ``above`` flips between ``lo`` and ``hi``."""
+    at_lo = above(lo)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if above(mid) == at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def decimal_eta_pairs(theta: float, c: float, eps: float = DEFAULT_EPS):
+    """Stratum pairs (p0, p1) with log RR theta and contrast c, to 50 digits.
+
+    Every root in (0, B), B = min(1, 1/r), of g(p0; r) = +c and of
+    g(p0; r) = -c, found by bisection in `DIGITS`-digit decimal arithmetic,
+    with no quadratic and no closed-form critical point.  A grid fine in
+    logit(p0 / B) locates the sign changes of g'; bisection of g' splits
+    (0, B) into pieces on which g is monotone; and on each piece whose ends
+    straddle a level, bisection of g (compared through exp, which is
+    monotone) finds the root.  Pairs are kept when p0 and p1 = r p0 both lie
+    in [eps, 1 - eps].  Returns Decimal pairs sorted by p0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        half = Decimal("0.5")
+        r = Decimal(theta).exp()
+        B = min(Decimal(1), 1 / r)
+
+        def exp_g(p):
+            return (1 - p) * (r * p + half) / ((1 - r * p) * p)
+
+        def rising(p):
+            return -1 / (1 - p) + r / (r * p + half) + r / (1 - r * p) - 1 / p > 0
+
+        grid = [B * u for u in _logistic_grid()]
+        ends = [grid[0]]
+        slopes = [rising(p) for p in grid]
+        for i in range(len(grid) - 1):
+            if slopes[i] != slopes[i + 1]:
+                ends.append(_bisect(rising, grid[i], grid[i + 1]))
+        ends.append(grid[-1])
+        roots = []
+        for level in (Decimal(c), -Decimal(c)):
+            k = level.exp()
+            above = lambda p: exp_g(p) > k
+            for a, b in zip(ends, ends[1:]):
+                if above(a) != above(b):
+                    roots.append(_bisect(above, a, b))
+        lo, hi = Decimal(eps), 1 - Decimal(eps)
+        return sorted((p, r * p) for p in roots if lo <= p <= hi and lo <= r * p <= hi)
+
+
+def decimal_log_odds_ratio(p0: Decimal, p1: Decimal) -> float:
+    """log[p1 (1 - p0) / (p0 (1 - p1))], evaluated in `DIGITS`-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float((p1 * (1 - p0) / (p0 * (1 - p1))).ln())
 
 
 def grid_eta_min(theta: float, n_grid: int = 400_001) -> float:

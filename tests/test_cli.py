@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effectgeom import cli
 
 CLI = [sys.executable, "-m", "effectgeom"]
 
@@ -38,6 +45,96 @@ class TestExitCodes:
 
     def test_success_is_0(self):
         assert run("feasible", "--p00", ".5", "--p10", ".5", "--p01", ".5", "--measure", "rr").returncode == 0
+
+
+_TABLE = ["--p00", ".2", "--p01", ".5", "--p10", ".4", "--p11", ".7"]
+
+
+class TestErrorContract:
+    """User input exits 2 (usage or configuration) or 3 (domain), never 4."""
+
+    @pytest.mark.parametrize(
+        "argv, env, code",
+        [
+            (["volume", "--target", "rr", "--n-samples", "10", "--workers", "0"], {}, 3),
+            (["volume", "--target", "rr", "--n-samples", "10"], {"EFFECTGEOM_WORKERS": "abc"}, 2),
+            (["power", *_TABLE, "--n", "10", "--reps", "10", "--seed", "-1"], {}, 3),
+            (["power", *_TABLE, "--n", "10", "--reps", "10", "--alpha", "1e-300"], {}, 3),
+            (["power", *_TABLE, "--n", "100000000000000000000", "--reps", "10"], {}, 3),
+            (["volume", "--config", "{tmp}/missing.cfg"], {}, 2),
+            (["volume", "--config", "{tmp}"], {}, 2),
+            (["volume", "--config", "{tmp}/latin1.cfg"], {}, 2),
+        ],
+    )
+    def test_exit_codes(self, tmp_path, argv, env, code):
+        (tmp_path / "latin1.cfg").write_bytes(b"system = prob\n# caf\xe9\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        p = run(*argv, env={**os.environ, **env})
+        assert p.returncode == code, p.stderr
+        assert p.stderr.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fuzzed_argv_never_exits_4(self, data):
+        command = data.draw(st.sampled_from(sorted(_VALID)))
+        argv = [command, *_VALID[command]]  # later flags override these
+        for flag in data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), max_size=4)):
+            argv += [flag, data.draw(st.sampled_from(_FLAGS[flag]))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+# The argv fuzz starts from a valid call of each command and adds flags drawn
+# from these values.  Sample counts stay small so that every accepted run is
+# quick, and worker counts stay at most 1 so that no process pool starts.
+_VALID = {
+    "measures": _TABLE,
+    "feasible": ["--p00", ".2", "--p10", ".4", "--p01", ".5", "--measure", "rr"],
+    "volume": ["--target", "rr", "--n-samples", "5"],
+    "power": [*_TABLE, "--n", "5", "--reps", "5"],
+    "convert": ["--from-system", "rr_eta", "--to-system", "prob",
+                "--alpha0", "0", "--alpha1", "0", "--e0", "0", "--e1", "0"],
+}
+_TABLE_FLAGS = ("--p00", "--p01", "--p10", "--p11", "--format")
+_COMMAND_FLAGS = {
+    "measures": _TABLE_FLAGS,
+    "feasible": (*_TABLE_FLAGS, "--measure"),
+    "volume": ("--config", "--system", "--target", "--n-samples", "--seed", "--bounds",
+               "--workers", "--format"),
+    "power": (*_TABLE_FLAGS, "--n", "--n00", "--n01", "--n10", "--n11", "--alpha", "--reps",
+              "--seed", "--workers"),
+    "convert": (*_TABLE_FLAGS, "--from-system", "--to-system", "--beta0", "--beta1",
+                "--alpha0", "--alpha1", "--gamma0", "--gamma1", "--b0", "--b1", "--a0",
+                "--a1", "--e0", "--e1"),
+}
+_COUNTS = ("-3", "0", "1", "5", "x", "2.5", "")
+_REALS = ("-1", "0", "1e-300", "0.3", "0.999999999999999", "1", "1.5",
+          "nan", "inf", "-inf", "1e308", "-1e308", "x")
+_SYSTEMS = ("prob", "poisson", "rr_op", "logistic", "rr_eta", "bogus")
+_FLAGS = {
+    **{f"--{f}": _REALS for f in ("p00", "p01", "p10", "p11", "alpha", "beta0", "beta1",
+                                 "alpha0", "alpha1", "gamma0", "gamma1", "b0", "b1",
+                                 "a0", "a1", "e0", "e1")},
+    **{f"--{f}": (*_COUNTS, "100000000000000000000") for f in ("n", "n00", "n01", "n10", "n11")},
+    "--n-samples": _COUNTS,
+    "--reps": _COUNTS,
+    "--seed": ("-1", "0", "7", "18446744073709551616", "x"),
+    "--workers": ("-1", "0", "1", "x"),
+    "--system": _SYSTEMS,
+    "--from-system": _SYSTEMS,
+    "--to-system": _SYSTEMS,
+    "--target": ("rd", "rr", "or", "hazard"),
+    "--measure": ("rd", "rr", "or", "hazard"),
+    "--format": ("plain", "csv", "json", "xml"),
+    "--bounds": ("-1.5:0,-1:1,-1:1", "0:1,0:1,0:1", "700:800,0:1,0:1", "1:0,0:1,0:1",
+                 "nan:1,0:1,0:1", "0:1", "a:b,c:d,e:f", "-1e308:1e308,0:1,0:1", ""),
+    "--config": ("no-such-dir/run.cfg", "."),
+}
 
 
 class TestGoldenOutputs:
@@ -89,6 +186,22 @@ class TestGoldenOutputs:
             "prob,rr,50000,42,0.74998,0.0019365433101276098,37499,0.75\n"
             "prob,or,50000,42,1.0,0.0,50000,1.0\n"
         )
+
+    def test_volume_bounds_value_may_start_with_minus(self):
+        args = ["volume", "--system", "rr_eta", "--target", "rr", "--n-samples", "1000",
+                "--format", "csv"]
+        spaced = run(*args, "--bounds", "-1.5:0,-1:1,-1:1")
+        joined = run(*args, "--bounds=-1.5:0,-1:1,-1:1")
+        assert spaced.returncode == joined.returncode == 0
+        assert spaced.stdout == joined.stdout
+        assert spaced.stdout.splitlines()[1].split(",")[6] == "1000"  # negative log RR box
+
+    def test_volume_rr_op_outside_the_guard(self):
+        # rr_op is compatible with probability 1 only on boxes whose risks stay
+        # inside the 1e-12 guard; at alpha0 in [700, 800] every p0 is below it
+        p = run("volume", "--system", "rr_op", "--target", "rr", "--n-samples", "1000",
+                "--bounds", "700:800,0:1,0:1")
+        assert p.stdout == "rr_op/rr: probability = 0 +- 0  [0/1000 compatible, seed 0]\n"
 
     def test_power_csv(self):
         p = run(

@@ -195,6 +195,28 @@ class TestEtaInfimum:
         assert -1e-12 <= oracles.grid_eta_min(theta) - floor <= 1e-10
         assert floor == pytest.approx(eta_infimum(theta), abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-8, 1e-12, 1e-15])
+    def test_floor_near_theta_zero(self, theta):
+        # r - 1 enters the floor as expm1(theta), so it keeps full precision
+        # as theta -> 0, and both attainability checks flip exactly at it
+        floor = eta_infimum(theta)
+        assert floor == pytest.approx(float(oracles.eta_floor(theta)), rel=1e-15, abs=0.0)
+        below = math.nextafter(floor, 0.0)
+        assert eta_attainable(theta, floor)
+        assert not eta_attainable(theta, below)
+        vec = eta_attainable_vec(np.array([theta, theta]), np.array([floor, below]))
+        assert vec.tolist() == [True, False]
+
+    @pytest.mark.parametrize("theta", [1e-15, 1e-8, 0.3, 1.0, 2.5])
+    def test_solvers_find_roots_exactly_from_the_floor(self, theta):
+        floor = eta_infimum(theta)
+        below = math.nextafter(floor, 0.0)
+        # at the floor the two roots merge; to within rounding they may stay two
+        assert 1 <= len(solve_stratum_from_rr_eta(theta, floor)) <= 2
+        assert len(solve_stratum_from_rr_eta(theta, below)) == 0
+        mins = eta_min_log_odds_ratio_vec(np.full(2, theta), np.array([floor, below]))
+        assert math.isfinite(mins[0]) and mins[1] == math.inf
+
     def test_contrast_range_structure_on_theta_grid(self):
         # sweep [-3, 3]: the attainable contrast is unbounded above for all
         # theta, reaches below 1e-3 only while theta < 0, and for theta >= 0
@@ -321,3 +343,38 @@ class TestVectorKernels:
                 math.log(s.p1 / (1 - s.p1)) - math.log(s.p0 / (1 - s.p0)) for s in sols
             )
             assert vec[i] == pytest.approx(best, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def decimal_cases():
+    """(theta, c, 50-digit guarded stratum pairs) over theta in [-3, 3], c in [0.05, 30]."""
+    rng = np.random.default_rng(20261017)
+    theta = rng.uniform(-3.0, 3.0, 100)
+    c = np.concatenate([
+        rng.uniform(0.05, 30.0, 50),
+        np.exp(rng.uniform(math.log(0.05), math.log(30.0), 50)),
+    ])
+    # theta -> 0- with large c, where the -c root nears 1
+    theta = np.concatenate([theta, -np.logspace(-1.0, -9.0, 20)])
+    c = np.concatenate([c, rng.uniform(10.0, 30.0, 20)])
+    return [(t, level, oracles.decimal_eta_pairs(t, level)) for t, level in zip(theta, c)]
+
+
+class TestDecimalOracle:
+    def test_solver_matches_decimal_roots(self, decimal_cases):
+        for theta, c, pairs in decimal_cases:
+            ours = [s.p0 for s in solve_stratum_from_rr_eta(theta, c)]
+            theirs = [float(p0) for p0, _ in pairs]
+            assert len(ours) == len(theirs), (theta, c)
+            assert ours == pytest.approx(theirs, rel=1e-13, abs=0.0), (theta, c)
+
+    def test_min_log_or_matches_decimal_log_or(self, decimal_cases):
+        theta = np.array([t for t, _, _ in decimal_cases])
+        c = np.array([level for _, level, _ in decimal_cases])
+        vec = eta_min_log_odds_ratio_vec(theta, c)
+        for got, (t, level, pairs) in zip(vec, decimal_cases):
+            if not pairs:
+                assert got == math.inf, (t, level)
+                continue
+            best = min(oracles.decimal_log_odds_ratio(p0, p1) for p0, p1 in pairs)
+            assert got == pytest.approx(best, abs=1e-13), (t, level)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effectgeom import mc
+from effectgeom.errors import ConfigError
 
 
 class TestChunkLayout:
@@ -45,6 +46,11 @@ class TestResolveWorkers:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mc.resolve_workers(0)
+
+    def test_env_override_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "abc")
+        with pytest.raises(ConfigError):
+            mc.resolve_workers(None)
 
 
 def _toy_task(scale: int, index: int, size: int) -> np.ndarray:
