@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -34,13 +35,24 @@ from .homogeneity import (
 )
 from .table import MEASURES, RiskTable, StratumPair
 
-_CONVERT_FIELDS = {
-    "prob": ("p00", "p01", "p10", "p11"),
-    "poisson": ("beta0", "beta1", "alpha0", "alpha1"),
-    "rr_op": ("alpha0", "alpha1", "gamma0", "gamma1"),
-    "logistic": ("b0", "b1", "a0", "a1"),
-    "rr_eta": ("alpha0", "alpha1", "e0", "e1"),
+#: system -> (value class, inverse to the matching risk tables, forward map
+#: from a table).  The inverses look the coords function up at call time, so
+#: that a wrapper set on the module attribute sees every call.
+_CONVERT = {
+    "prob": (RiskTable, lambda t: [t], lambda t: t),
+    "poisson": (
+        coords_mod.PoissonCoords, lambda c: [coords_mod.from_poisson(c)], coords_mod.to_poisson
+    ),
+    "rr_op": (coords_mod.RrOpCoords, lambda c: [coords_mod.from_rr_op(c)], coords_mod.to_rr_op),
+    "logistic": (
+        coords_mod.LogisticCoords, lambda c: [coords_mod.from_logistic(c)], coords_mod.to_logistic
+    ),
+    "rr_eta": (coords_mod.RrEtaCoords, lambda c: coords_mod.from_rr_eta(c), coords_mod.to_rr_eta),
 }
+
+
+def _field_names(system: str) -> list[str]:
+    return [f.name for f in dataclasses.fields(_CONVERT[system][0])]
 
 
 def _fmt(x) -> str:
@@ -370,69 +382,29 @@ def cmd_power(args) -> str:
 
 
 def _coords_from_args(system: str, args) -> object:
-    fields = _CONVERT_FIELDS[system]
-    values = {}
-    missing = []
-    for f in fields:
-        v = getattr(args, f)
-        if v is None:
-            missing.append(f"--{f}")
-        else:
-            values[f] = v
+    names = _field_names(system)
+    missing = [f"--{f}" for f in names if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"system {system!r} requires flags: {', '.join(missing)}")
-    if system == "prob":
-        return RiskTable(**values)
-    cls = {
-        "poisson": coords_mod.PoissonCoords,
-        "rr_op": coords_mod.RrOpCoords,
-        "logistic": coords_mod.LogisticCoords,
-        "rr_eta": coords_mod.RrEtaCoords,
-    }[system]
-    return cls(**values)
+    return _CONVERT[system][0](**{f: getattr(args, f) for f in names})
 
 
-def _to_tables(system: str, value) -> list[RiskTable]:
-    if system == "prob":
-        return [value]
-    if system == "poisson":
-        return [coords_mod.from_poisson(value)]
-    if system == "rr_op":
-        return [coords_mod.from_rr_op(value)]
-    if system == "logistic":
-        return [coords_mod.from_logistic(value)]
-    return coords_mod.from_rr_eta(value)
-
-
-def _from_table(system: str, t: RiskTable):
-    if system == "prob":
-        return {"p00": t.p00, "p01": t.p01, "p10": t.p10, "p11": t.p11}
-    fn = {
-        "poisson": coords_mod.to_poisson,
-        "rr_op": coords_mod.to_rr_op,
-        "logistic": coords_mod.to_logistic,
-        "rr_eta": coords_mod.to_rr_eta,
-    }[system]
-    c = fn(t)
-    return {f: getattr(c, f) for f in _CONVERT_FIELDS[system]}
+def _from_table(system: str, t: RiskTable) -> dict[str, float]:
+    c = _CONVERT[system][2](t)
+    return {f: getattr(c, f) for f in _field_names(system)}
 
 
 def cmd_convert(args) -> str:
     src = args.from_system
     dst = args.to_system
-    value = _coords_from_args(src, args)
-    tables = _to_tables(src, value)
+    tables = _CONVERT[src][1](_coords_from_args(src, args))
     solutions = [_from_table(dst, t) for t in tables]
     if args.format == "json":
         return _emit_json(
             {"from": src, "to": dst, "count": len(solutions), "solutions": solutions}
         )
     if args.format == "csv":
-        rows = [
-            [i, field, sol[field]]
-            for i, sol in enumerate(solutions)
-            for field in _CONVERT_FIELDS[dst]
-        ]
+        rows = [[i, field, v] for i, sol in enumerate(solutions) for field, v in sol.items()]
         return _emit_csv(["solution", "field", "value"], rows)
     lines = [f"{src} -> {dst}: {len(solutions)} solution(s)"]
     for i, sol in enumerate(solutions):
@@ -504,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-system", choices=coords_mod.SYSTEMS, required=True)
     p.add_argument("--to-system", choices=coords_mod.SYSTEMS, required=True)
     _add_table_flags(p, required=False)
-    for f in ("beta0", "beta1", "alpha0", "alpha1", "gamma0", "gamma1", "b0", "b1", "a0", "a1", "e0", "e1"):
+    coord_fields = (f for system in _CONVERT if system != "prob" for f in _field_names(system))
+    for f in dict.fromkeys(coord_fields):
         p.add_argument(f"--{f}", type=float, default=None)
     _add_format(p)
     p.set_defaults(fn=cmd_convert)

@@ -45,6 +45,9 @@ from .table import (
     RiskTable,
     StratumPair,
     eta,
+    expit,
+    in_guard,
+    logit,
     odds_product,
     relative_risk,
 )
@@ -151,23 +154,9 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-def _expit(x: float) -> float:
-    # overflow-safe logistic
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def _risk_from(component: str, value: float, eps: float = DEFAULT_EPS) -> float:
-    if value >= 1.0 - eps:
-        raise OutOfDomainError(component, value, ">= 1")
-    if value <= eps:
-        raise OutOfDomainError(component, value, "<= 0")
+def _risk_from(component: str, value: float) -> float:
+    if not in_guard(value):
+        raise OutOfDomainError(component, value, ">= 1" if value > 0.5 else "<= 0")
     return value
 
 
@@ -274,8 +263,7 @@ def from_rr_op(c: RrOpCoords) -> RiskTable:
 
 def to_logistic(t: RiskTable) -> LogisticCoords:
     """Forward map to saturated log-odds coordinates."""
-    l00, l01 = _logit(t.p00), _logit(t.p01)
-    l10, l11 = _logit(t.p10), _logit(t.p11)
+    l00, l01, l10, l11 = logit(np.array([t.p00, t.p01, t.p10, t.p11])).tolist()
     return LogisticCoords(
         b0=l00,
         b1=l10 - l00,
@@ -296,7 +284,8 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
         ("p10", c.b0 + c.b1),
         ("p11", c.b0 + c.b1 + c.a0 + c.a1),
     )
-    values = {name: _risk_from(name, _expit(x)) for name, x in cells}
+    risks = expit(np.array([x for _, x in cells])).tolist()
+    values = {name: _risk_from(name, p) for (name, _), p in zip(cells, risks)}
     return RiskTable(**values)
 
 
@@ -379,9 +368,7 @@ def _eta_floor(theta: np.ndarray) -> np.ndarray:
 
 def _in_guard(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Whether p0 and r p0 both lie in [eps, 1 - eps], as `StratumPair` requires."""
-    p1 = r * p0
-    lo, hi = DEFAULT_EPS, 1.0 - DEFAULT_EPS
-    return (p0 >= lo) & (p0 <= hi) & (p1 >= lo) & (p1 <= hi)
+    return in_guard(p0) & in_guard(r * p0)
 
 
 def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ Two related questions are answered here:
 * Given three of the four risks ``(p00, p10, p01)``, is there a fourth risk
   ``p11`` inside (0, 1) making a chosen measure equal across strata?  The
   candidate completion is unique and in closed form for each measure; the
-  informative outcome is whether it lands inside the open interval.
+  informative outcome is whether it lands inside the guard.
 
 * Given a 3-tuple of coordinates in some system (the effect-interaction
   coordinate dropped), does ANY risk table match those coordinates while a
@@ -22,7 +22,7 @@ Compatibility semantics per system:
              stratum-0 log odds ratio o into logit p11 = (s + o)/2,
              logit p10 = (s - o)/2).  In exact arithmetic both targets are
              always compatible.  Here a point is compatible iff its witness
-             risks lie strictly inside the guard (``DEFAULT_EPS``, 1e-12):
+             risks lie in the guard (``DEFAULT_EPS``, 1e-12):
              the verdict is True on the guard-bounded part of the space,
              roughly |alpha0| < log 1e12 = 27.6 with moderate odds
              products, and False beyond it.  At alpha0 = 700, for example,
@@ -33,9 +33,12 @@ Compatibility semantics per system:
              solution whose log odds ratio is under ``c1 - log 1.5``, the
              supremum attainable on the stratum-1 contrast level curve.
 
-All checks are pure; the batch forms accept numpy arrays and make the exact
-same decisions as the scalar forms (the scalar path calls them with
-singleton arrays).
+All checks are pure.  Each formula is written once, for numpy arrays; the
+scalar forms are the batch forms at one point, so both make the exact same
+decisions.  Every risk, given or computed, passes one inclusive guard,
+``in_guard`` (``[eps, 1 - eps]``, the rule `RiskTable` applies), so under
+``prob`` and ``rr_op`` a verdict is True exactly when its witness table can
+be built.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .coords import (
     rr_op_risks_vec,
 )
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
-from .table import DEFAULT_EPS, MEASURES, _check_prob
+from .table import DEFAULT_EPS, MEASURES, _check_prob, expit, in_guard, logit
 
 #: Systems usable as a compatibility-query coordinate prior.
 COMPATIBILITY_SYSTEMS = ("prob", "rr_op", "rr_eta")
@@ -107,42 +110,39 @@ class CompatibilityQuery:
         object.__setattr__(self, "point", point)
 
 
+def _completion(measure: str, p00, p10, p01):
+    """The p11 that equalizes ``measure`` across strata; floats or arrays."""
+    if measure == "rd":
+        return p10 + p01 - p00
+    if measure == "rr":
+        return p10 * p01 / p00
+    return expit(logit(p10) + logit(p01) - logit(p00))
+
+
 def completion_candidate(q: HomogeneityQuery) -> float:
     """The unique p11 that equalizes the measure across strata (closed form).
 
     ``p10 + p01 - p00`` for the risk difference, ``p10 p01 / p00`` for the
-    relative risk, and ``odds/(1 + odds)`` with ``odds = odds10 odds01 /
-    odds00`` for the odds ratio (evaluated in logit space, which keeps the
-    implied odds ratio accurate even when the completion sits within a few
-    ulps of 1).  May fall outside (0, 1); feasibility is judged by
-    `complete_table`.
+    relative risk, and ``expit(logit p10 + logit p01 - logit p00)`` for the
+    odds ratio (in logit space, which keeps the implied odds ratio accurate
+    even when the completion sits within a few ulps of 1).  May fall outside
+    (0, 1); feasibility is judged by `complete_table`.  This is the batch
+    completion of `check_compatibility_batch` at one point.
     """
-    if q.measure == "rd":
-        return q.p10 + q.p01 - q.p00
-    if q.measure == "rr":
-        return q.p10 * q.p01 / q.p00
-    logit = lambda p: math.log(p) - math.log1p(-p)
-    x = logit(q.p10) + logit(q.p01) - logit(q.p00)
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+    return float(_completion(q.measure, q.p00, q.p10, q.p01))
 
 
 def complete_table(q: HomogeneityQuery) -> float | None:
-    """The completion from `completion_candidate`, if strictly inside (0, 1).
+    """The completion from `completion_candidate` if it passes `in_guard`, else None.
 
-    A candidate within the guard of 0 or 1 counts as infeasible
-    (open-interval model).
+    A completion is returned exactly when the completed `RiskTable` builds.
     """
     candidate = completion_candidate(q)
-    if DEFAULT_EPS < candidate < 1.0 - DEFAULT_EPS:
-        return candidate
-    return None
+    return candidate if in_guard(candidate) else None
 
 
 def is_feasible(q: HomogeneityQuery) -> bool:
-    """True iff `complete_table` finds an interior completion."""
+    """True iff `complete_table` finds a completion."""
     return complete_table(q) is not None
 
 
@@ -151,24 +151,12 @@ def is_feasible(q: HomogeneityQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _interior(x: np.ndarray) -> np.ndarray:
-    return (x > DEFAULT_EPS) & (x < 1.0 - DEFAULT_EPS)
-
-
 def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
     p00, p10, p01 = points[:, 0], points[:, 1], points[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if target == "rd":
-            cand = p10 + p01 - p00
-        elif target == "rr":
-            cand = p10 * p01 / p00
-        else:
-            logit = lambda p: np.log(p) - np.log1p(-p)
-            x = logit(p10) + logit(p01) - logit(p00)
-            z = np.exp(-np.abs(x))
-            cand = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-        out = _interior(cand)
-    out &= _interior(p00) & _interior(p10) & _interior(p01)
+        cand = _completion(target, p00, p10, p01)
+        out = in_guard(cand)
+    out &= in_guard(p00) & in_guard(p10) & in_guard(p01)
     return out
 
 
@@ -176,18 +164,18 @@ def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
     alpha0, gamma0, gamma1 = points[:, 0], points[:, 1], points[:, 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p0, p1 = rr_op_risks_vec(alpha0, gamma0)
-        ok = _interior(p0) & _interior(p1)
+        ok = in_guard(p0) & in_guard(p1)
         if target == "rr":
             # both strata share theta = alpha0
             p0, p1 = rr_op_risks_vec(alpha0, gamma0 + gamma1)
-            return ok & _interior(p0) & _interior(p1)
+            return ok & in_guard(p0) & in_guard(p1)
         # target "or": stratum 1 on its odds-product level with the matching
         # log odds ratio
-        log_or0 = (np.log(p1) - np.log1p(-p1)) - (np.log(p0) - np.log1p(-p0))
+        log_or0 = logit(p1) - logit(p0)
         s = gamma0 + gamma1
-        p11 = 1.0 / (1.0 + np.exp(-(s + log_or0) / 2.0))
-        p10 = 1.0 / (1.0 + np.exp(-(s - log_or0) / 2.0))
-        return ok & _interior(p10) & _interior(p11)
+        p11 = expit((s + log_or0) / 2.0)
+        p10 = expit((s - log_or0) / 2.0)
+        return ok & in_guard(p10) & in_guard(p11)
 
 
 def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mc
 from .errors import DegenerateCountsError, DomainError
-from .table import RiskTable
+from .table import RiskTable, logit
 
 #: Test scales, in reporting order.
 SCALES = ("identity", "log", "logit")
@@ -105,46 +105,50 @@ class PowerResult:
     by_scale: dict[str, ScalePower]
 
 
-def _adjusted(counts: CellCounts) -> tuple[list[float], list[int]]:
-    """Continuity-corrected proportions and totals for the log/logit tests."""
-    props, totals = [], []
-    for e, n in zip(counts.events(), counts.totals()):
-        if e == 0 or e == n:
-            props.append((e + 0.5) / (n + 1))
-            totals.append(n + 1)
-        else:
-            props.append(e / n)
-            totals.append(n)
-    return props, totals
+def _wald(events: np.ndarray, totals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Plug-in interaction estimate and variance on each scale, in `SCALES` order.
+
+    ``events`` and ``totals`` hold the four cells in (v, a) order along the
+    first axis; further axes (replicates) broadcast.  The identity scale uses
+    raw proportions; the log and logit scales continuity-correct cells at 0
+    or n.  A variance of 0 marks a degenerate replicate.
+    """
+    raw = events / totals
+    boundary = (events == 0) | (events == totals)
+    adj = np.where(boundary, (events + 0.5) / (totals + 1.0), raw)
+    adj_tot = np.where(boundary, totals + 1.0, totals)
+    identity = (raw[3] - raw[2]) - (raw[1] - raw[0]), (raw * (1.0 - raw) / totals).sum(axis=0)
+    log = (
+        np.log(adj[3]) - np.log(adj[2]) - np.log(adj[1]) + np.log(adj[0]),
+        ((1.0 - adj) / (adj_tot * adj)).sum(axis=0),
+    )
+    # the (4, n) log odds are formed last, once the other scales' temporaries
+    # are freed, to keep a chunk's peak memory low
+    lo = logit(adj)
+    var = (1.0 / (adj_tot * adj * (1.0 - adj))).sum(axis=0)
+    return [identity, log, (lo[3] - lo[2] - lo[1] + lo[0], var)]
 
 
 def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
     """Plug-in interaction estimate and its delta-method standard error.
 
+    `_wald` at one replicate.
+
     Raises:
+        DomainError: for a scale outside `SCALES`.
         DegenerateCountsError: identity scale only, when every cell sits at
             0 or n so the plug-in variance vanishes.
     """
-    if scale == "identity":
-        p = [e / n for e, n in zip(counts.events(), counts.totals())]
-        est = (p[3] - p[2]) - (p[1] - p[0])
-        var = sum(pi * (1.0 - pi) / n for pi, n in zip(p, counts.totals()))
-        if var <= 0.0:
-            raise DegenerateCountsError(
-                f"all cells at 0 or n, identity-scale variance is 0: {counts.events()}"
-            )
-        return est, math.sqrt(var)
-    p, totals = _adjusted(counts)
-    if scale == "log":
-        est = math.log(p[3]) - math.log(p[2]) - math.log(p[1]) + math.log(p[0])
-        var = sum((1.0 - pi) / (n * pi) for pi, n in zip(p, totals))
-    elif scale == "logit":
-        lo = [math.log(pi / (1.0 - pi)) for pi in p]
-        est = lo[3] - lo[2] - lo[1] + lo[0]
-        var = sum(1.0 / (n * pi * (1.0 - pi)) for pi, n in zip(p, totals))
-    else:
+    if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
-    return est, math.sqrt(var)
+    events = np.array(counts.events(), dtype=float)
+    totals = np.array(counts.totals(), dtype=float)
+    est, var = _wald(events, totals)[SCALES.index(scale)]
+    if not var > 0.0:
+        raise DegenerateCountsError(
+            f"all cells at 0 or n, {scale}-scale variance is 0: {counts.events()}"
+        )
+    return float(est), math.sqrt(var)
 
 
 def wald_interaction_pvalue(counts: CellCounts, scale: str) -> float:
@@ -175,29 +179,13 @@ def _chunk_tallies(
         [rng.binomial(n, p, size=size) for n, p in zip(design_cells, truth_cells)]
     )  # shape (4, size), cell order 00, 01, 10, 11
     totals = np.array(design_cells, dtype=float)[:, None]
-    raw = events / totals
-    boundary = (events == 0) | (events == totals)
-    adj = np.where(boundary, (events + 0.5) / (totals + 1.0), raw)
-    adj_tot = np.where(boundary, totals + 1.0, totals)
-
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
-
-    est = (raw[3] - raw[2]) - (raw[1] - raw[0])
-    var = (raw * (1.0 - raw) / totals).sum(axis=0)
-    valid = var > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(est / np.sqrt(var))
-    out[0] = int((valid & (z > z_crit)).sum())
-    out[1] = int((~valid).sum())
-
-    est = np.log(adj[3]) - np.log(adj[2]) - np.log(adj[1]) + np.log(adj[0])
-    var = ((1.0 - adj) / (adj_tot * adj)).sum(axis=0)
-    out[2] = int((np.abs(est / np.sqrt(var)) > z_crit).sum())
-
-    logit = np.log(adj) - np.log1p(-adj)
-    est = logit[3] - logit[2] - logit[1] + logit[0]
-    var = (1.0 / (adj_tot * adj * (1.0 - adj))).sum(axis=0)
-    out[4] = int((np.abs(est / np.sqrt(var)) > z_crit).sum())
+        for i, (est, var) in enumerate(_wald(events, totals)):
+            valid = var > 0.0
+            z = np.abs(est / np.sqrt(var))
+            out[2 * i] = int((valid & (z > z_crit)).sum())
+            out[2 * i + 1] = int((~valid).sum())
     return out
 
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 #: Default open-interval guard: probabilities are accepted in [eps, 1 - eps].
@@ -36,11 +38,30 @@ DEFAULT_EPS = 1e-12
 MEASURES = ("rd", "rr", "or")
 
 
+def in_guard(p, eps: float = DEFAULT_EPS):
+    """Whether ``p`` lies in [eps, 1 - eps], the guard on every risk; floats or arrays."""
+    return (p >= eps) & (p <= 1.0 - eps)
+
+
+def logit(p):
+    """Log odds ``log p - log1p(-p)``; floats or arrays."""
+    return np.log(p) - np.log1p(-p)
+
+
+def expit(x):
+    """Logistic function ``1 / (1 + exp(-x))``, one formula for both signs; floats or arrays.
+
+    Within two ulps of the true value for x >= -700; 0 where exp(-x) overflows.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _check_prob(name: str, value: float, eps: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    if not (eps <= value <= 1.0 - eps):
+    if not in_guard(value, eps):
         raise DomainError(f"{name} must lie in ({0}, {1}) (guard {eps:g}), got {value}")
     return value
 
@@ -88,11 +109,6 @@ class RiskTable:
         if v == 1:
             return StratumPair(self.p10, self.p11)
         raise DomainError(f"stratum index must be 0 or 1, got {v!r}")
-
-
-def stratum(table: RiskTable, v: int) -> StratumPair:
-    """Functional form of :meth:`RiskTable.stratum`."""
-    return table.stratum(v)
 
 
 def risk_difference(s: StratumPair) -> float:

@@ -4,15 +4,17 @@ These deliberately re-derive results by a different route than the package:
 dense-grid bracketing instead of closed-form critical points, brute-force
 scans instead of completion formulas, straight-line scalar arithmetic
 instead of vectorized kernels, a closed-form contrast floor with an exact
-recount and a quadrature instead of Monte Carlo, and 50-digit bisection of
-the contrast instead of the package's quadratic roots.  Nothing here imports
-`effectgeom.coords`.
+recount and a quadrature instead of Monte Carlo, 50-digit bisection of the
+contrast instead of the package's quadratic roots, an enumeration of every
+outcome instead of simulated power, and 50-digit logit and expit.  Nothing
+here imports `effectgeom.coords`.
 Production code must agree with them within the stated tolerances.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -311,3 +313,47 @@ def straight_line_wald(events, totals, scale: str) -> float:
         est = lo[3] - lo[2] - lo[1] + lo[0]
         var = sum(1.0 / (n * p * (1 - p)) for p, n in zip(adj, tot))
     return math.erfc(abs(est / math.sqrt(var)) / math.sqrt(2.0))
+
+
+def exact_power_rates(truth, design, alpha: float) -> dict[str, float]:
+    """Exact rejection rate of each scale's Wald test, by enumerating every outcome.
+
+    Each of the prod(n + 1) event vectors of ``design`` is weighted by the
+    product of the four binomial pmfs and tested through
+    `straight_line_wald`; a p-value below ``alpha`` rejects.  Like the
+    simulator, the identity scale leaves out the outcomes whose variance is
+    0 (every cell at 0 or n) and its rate is over the rest.  Cells are in
+    (v, a) order 00, 01, 10, 11.
+    """
+    pmf = [
+        [math.comb(n, e) * p**e * (1.0 - p) ** (n - e) for e in range(n + 1)]
+        for p, n in zip(truth, design)
+    ]
+    scales = ("identity", "log", "logit")
+    rejected = dict.fromkeys(scales, 0.0)
+    valid = dict.fromkeys(scales, 0.0)
+    for events in itertools.product(*(range(n + 1) for n in design)):
+        w = math.prod(cell[e] for cell, e in zip(pmf, events))
+        degenerate = all(e in (0, n) for e, n in zip(events, design))
+        for scale in scales:
+            if scale == "identity" and degenerate:
+                continue
+            valid[scale] += w
+            if straight_line_wald(events, design, scale) < alpha:
+                rejected[scale] += w
+    return {scale: rejected[scale] / valid[scale] for scale in scales}
+
+
+def decimal_logit(p: float) -> Decimal:
+    """log p - log(1 - p) of the float p, in `DIGITS`-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        d = Decimal(p)
+        return d.ln() - (1 - d).ln()
+
+
+def decimal_expit(x: float) -> Decimal:
+    """1 / (1 + e^-x) of the float x, in `DIGITS`-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return 1 / (1 + (-Decimal(x)).exp())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from effectgeom import (
+    DEFAULT_EPS,
     CompatibilityQuery,
+    DomainError,
     HomogeneityQuery,
     RiskTable,
     UnsupportedSystemError,
@@ -76,6 +79,27 @@ class TestCompletion:
         assert np.all((cand > 0) & (cand < 1))
         for i in range(0, n, 50_000):  # spot-check the scalar API on a subsample
             assert is_feasible(HomogeneityQuery("or", p00[i], p10[i], p01[i]))
+
+
+class TestGuardEdges:
+    """Scalar and batch verdicts and the completed table agree at the eps guard."""
+
+    @pytest.mark.parametrize("measure", ["rd", "rr", "or"])
+    def test_feasible_iff_compatible_iff_table_builds(self, measure):
+        # eps and 1 - eps are accepted by HomogeneityQuery, like any risk in the guard
+        values = (DEFAULT_EPS, 0.3, 1.0 - DEFAULT_EPS)
+        for point in itertools.product(values, repeat=3):
+            q = HomogeneityQuery(measure, *point)
+            feasible = is_feasible(q)
+            compatible = check_compatibility(CompatibilityQuery("prob", point, measure))
+            assert feasible == compatible, point
+            p00, p10, p01 = point
+            try:
+                RiskTable(p00, p01, p10, completion_candidate(q))
+                builds = True
+            except DomainError:
+                builds = False
+            assert feasible == builds, point
 
 
 class TestCompatibilityValidation:

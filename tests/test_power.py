@@ -174,3 +174,24 @@ class TestSimulatePower:
         assert identity.n_degenerate > 0
         valid = res.reps - identity.n_degenerate
         assert 0 <= identity.n_rejected <= valid
+
+
+class TestExactRates:
+    """Simulated rejection rates against an exact enumeration of every outcome."""
+
+    @pytest.mark.parametrize(
+        "truth, design",
+        [
+            ((0.2, 0.35, 0.2, 0.35), (10, 10, 10, 10)),  # strata equal: null on every scale
+            ((0.2, 0.35, 0.3, 0.6), (10, 10, 10, 10)),
+            ((0.3, 0.5, 0.4, 0.6), (3, 5, 4, 6)),
+        ],
+    )
+    def test_rates_within_4_se_of_exact(self, truth, design):
+        exact = oracles.exact_power_rates(truth, design, 0.05)
+        res = simulate_power(RiskTable(*truth), StudyDesign(*design), 0.05, reps=100_000, seed=1)
+        for scale in SCALES:
+            sp = res.by_scale[scale]
+            valid = res.reps - sp.n_degenerate
+            se = math.sqrt(exact[scale] * (1.0 - exact[scale]) / valid)
+            assert abs(sp.rate - exact[scale]) <= 4.0 * se, (scale, sp.rate, exact[scale])

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decimal import Decimal
+
 from effectgeom import (
+    DEFAULT_EPS,
     DomainError,
     RiskTable,
     StratumPair,
@@ -15,9 +18,10 @@ from effectgeom import (
     odds_ratio,
     relative_risk,
     risk_difference,
-    stratum,
 )
+from effectgeom.table import expit, logit
 
+from . import oracles
 from .conftest import probs, stratum_pairs
 
 
@@ -50,7 +54,6 @@ class TestStratumAccess:
     def test_example_table(self):
         t = RiskTable(0.27, 0.81, 0.46, 0.5)
         assert t.stratum(0) == StratumPair(0.27, 0.81)
-        assert stratum(t, 0) == StratumPair(0.27, 0.81)
 
     def test_constant_table(self):
         t = RiskTable(0.5, 0.5, 0.5, 0.5)
@@ -165,3 +168,29 @@ class TestInvariants:
             assert risk_difference(s) == rd[i]
             assert relative_risk(s) == rr[i]
             assert odds_ratio(s) == orr[i]
+
+
+class TestLogistic:
+    """The package's one logit and expit against 50-digit decimal references."""
+
+    def test_logit_down_to_the_guard_from_both_ends(self):
+        tail = np.geomspace(DEFAULT_EPS, 0.5, 300)
+        p = np.concatenate([tail, 1.0 - tail])
+        got = logit(p)
+        for pi, gi in zip(p.tolist(), got.tolist()):
+            bound = 2.0**-51 * (abs(math.log(pi)) + abs(math.log1p(-pi)))
+            assert abs(Decimal(gi) - oracles.decimal_logit(pi)) <= bound, pi
+            assert logit(pi) == gi
+
+    def test_expit_relative_error(self):
+        x = np.concatenate([np.linspace(-700.0, 40.0, 1481), [-1e-8, 0.0, 1e-8]])
+        got = expit(x)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            ref = oracles.decimal_expit(xi)
+            assert abs(Decimal(gi) - ref) <= Decimal(2.0**-51) * ref, xi
+            assert expit(xi) == gi
+
+    def test_expit_saturates_without_warning(self):
+        assert expit(-800.0) == 0.0
+        assert expit(800.0) == 1.0
+        assert expit(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
