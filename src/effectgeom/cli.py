@@ -10,9 +10,9 @@ Subcommands::
 
 Output formats: ``plain`` (6 significant digits), ``csv`` and ``json`` (full
 float precision).  Exit codes: 0 success, 2 usage or configuration error
-(including an unreadable ``--config`` file and a non-integer
-``EFFECTGEOM_WORKERS``), 3 domain error, 4 internal failure.  No user input
-exits 4.
+(including an unreadable ``--config`` file and an ``EFFECTGEOM_WORKERS``
+that is not an integer >= 1), 3 domain error, 4 internal failure.  No user
+input exits 4.
 """
 
 from __future__ import annotations
@@ -61,21 +61,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_plain(lines: list[str]) -> str:
+def _render(fmt: str, payload, header: list[str], rows: list[list], lines: list[str]) -> str:
+    """A command's result as ``fmt``: its json payload, csv table or plain lines."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v for v in row] for row in rows)
+        return buf.getvalue()
     return "\n".join(lines) + "\n"
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    return buf.getvalue()
-
-
-def _emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+def _records(payload, records: list[dict], lines: list[str]) -> tuple:
+    """A result whose csv rows are ``records``, with their keys as the header."""
+    return payload, list(records[0]), [list(r.values()) for r in records], lines
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +94,7 @@ def _stratum_report(s: StratumPair) -> dict[str, float]:
     }
 
 
-def _interactions(t: RiskTable) -> dict[str, float]:
-    s0, s1 = t.stratum(0), t.stratum(1)
-    r0, r1 = _stratum_report(s0), _stratum_report(s1)
+def _interactions(r0: dict[str, float], r1: dict[str, float]) -> dict[str, float]:
     log_eta = (
         math.log(r1["eta"]) - math.log(r0["eta"])
         if r0["eta"] > 0.0 and r1["eta"] > 0.0
@@ -109,29 +108,20 @@ def _interactions(t: RiskTable) -> dict[str, float]:
     }
 
 
-def cmd_measures(args) -> str:
+def cmd_measures(args) -> tuple:
     t = RiskTable(p00=args.p00, p01=args.p01, p10=args.p10, p11=args.p11)
     strata = [_stratum_report(t.stratum(v)) for v in (0, 1)]
-    inter = _interactions(t)
-    if args.format == "json":
-        return _emit_json(
-            {
-                "table": {"p00": t.p00, "p01": t.p01, "p10": t.p10, "p11": t.p11},
-                "strata": [{"stratum": v, **strata[v]} for v in (0, 1)],
-                "interactions": inter,
-            }
-        )
-    if args.format == "csv":
-        rows = [[name, v, strata[v][name]] for v in (0, 1) for name in strata[v]]
-        rows += [[f"interaction_{name}", None, value] for name, value in inter.items()]
-        return _emit_csv(["quantity", "stratum", "value"], rows)
-    lines = []
-    for v in (0, 1):
-        for name, value in strata[v].items():
-            lines.append(f"{name}({v}) = {_fmt(value)}")
-    for name, value in inter.items():
-        lines.append(f"interaction.{name} = {_fmt(value)}")
-    return _emit_plain(lines)
+    inter = _interactions(*strata)
+    payload = {
+        "table": {"p00": t.p00, "p01": t.p01, "p10": t.p10, "p11": t.p11},
+        "strata": [{"stratum": v, **strata[v]} for v in (0, 1)],
+        "interactions": inter,
+    }
+    rows = [[name, v, value] for v in (0, 1) for name, value in strata[v].items()]
+    rows += [[f"interaction_{name}", None, value] for name, value in inter.items()]
+    lines = [f"{name}({v}) = {_fmt(value)}" for v in (0, 1) for name, value in strata[v].items()]
+    lines += [f"interaction.{name} = {_fmt(value)}" for name, value in inter.items()]
+    return payload, ["quantity", "stratum", "value"], rows, lines
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +129,18 @@ def cmd_measures(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_feasible(args) -> str:
+def cmd_feasible(args) -> tuple:
     q = HomogeneityQuery(measure=args.measure, p00=args.p00, p10=args.p10, p01=args.p01)
     candidate = completion_candidate(q)
-    completion = complete_table(q)
-    feasible = completion is not None
-    if args.format == "json":
-        return _emit_json(
-            {
-                "measure": q.measure,
-                "p00": q.p00,
-                "p10": q.p10,
-                "p01": q.p01,
-                "candidate_p11": candidate,
-                "feasible": feasible,
-            }
-        )
-    if args.format == "csv":
-        return _emit_csv(
-            ["measure", "p00", "p10", "p01", "candidate_p11", "feasible"],
-            [[q.measure, q.p00, q.p10, q.p01, candidate, feasible]],
-        )
+    feasible = complete_table(q) is not None
+    record = {
+        "measure": q.measure,
+        "p00": q.p00,
+        "p10": q.p10,
+        "p01": q.p01,
+        "candidate_p11": candidate,
+        "feasible": feasible,
+    }
     verdict = (
         f"feasible, p11 = {_fmt(candidate)}"
         if feasible
@@ -169,7 +150,7 @@ def cmd_feasible(args) -> str:
         f"{q.measure}-homogeneity for (p00={_fmt(q.p00)}, p10={_fmt(q.p10)}, "
         f"p01={_fmt(q.p01)}): {verdict}"
     )
-    return _emit_plain([line])
+    return _records(record, [record], [line])
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +174,28 @@ def _parse_bounds(text: str, where: str) -> volume.Bounds:
     return tuple(pairs)
 
 
+def _parse_int(key: str, value: str, where: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}") from None
+
+
+#: configuration key -> parser(value, where); the keys are `volume.PriorSpec`'s fields.
+_CONFIG_KEYS = {
+    "system": lambda value, where: value,
+    "seed": lambda value, where: _parse_int("seed", value, where),
+    "n_samples": lambda value, where: _parse_int("n_samples", value, where),
+    "bounds": _parse_bounds,
+}
+
+
 def parse_prior_config(text: str) -> tuple[dict, list[str]]:
     """Parse the volume configuration document.
 
     Flat ``key = value`` pairs (system, seed, n_samples, optional bounds)
-    followed by one ``[target NAME]`` section per requested target.  Raises
+    followed by one ``[target NAME]`` section per requested target.  The
+    keys come back as keyword arguments of `volume.PriorSpec`.  Raises
     `ConfigError` with the offending line number.
     """
     keys: dict[str, object] = {}
@@ -228,25 +226,9 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
             raise ConfigError(f"line {lineno}: key = value not allowed inside a target section")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key == "system":
-            keys["system"] = value
-        elif key == "seed":
-            try:
-                keys["seed"] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: seed must be an integer, got {value!r}") from None
-        elif key == "n_samples":
-            try:
-                keys["n_samples"] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: n_samples must be an integer, got {value!r}"
-                ) from None
-        elif key == "bounds":
-            keys["bounds"] = _parse_bounds(value, f"line {lineno}")
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        keys[key] = _CONFIG_KEYS[key](value.strip(), f"line {lineno}")
     for required in ("system", "seed", "n_samples"):
         if required not in keys:
             raise ConfigError(f"missing required key {required!r}")
@@ -269,15 +251,26 @@ def format_prior_config(prior: volume.PriorSpec, targets: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _volume_rows(prior: volume.PriorSpec, targets: list[str], workers) -> list[dict]:
+def cmd_volume(args) -> tuple:
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config!r}: {exc}") from None
+        keys, targets = parse_prior_config(text)
+    else:
+        if not args.target:
+            raise ConfigError("at least one --target is required without --config")
+        bounds = _parse_bounds(args.bounds, "--bounds") if args.bounds else None
+        keys = {"system": args.system, "n_samples": args.n_samples, "seed": args.seed,
+                "bounds": bounds}
+        targets = [t.lower() for t in args.target]
+    prior = volume.PriorSpec(**keys)
+    cube = volume.is_unit_cube(prior)
     rows = []
     for target in targets:
-        est = volume.estimate(prior, target, workers=workers)
-        analytic = (
-            float(volume.analytic_cube_probability(target))
-            if volume.is_unit_cube(prior)
-            else None
-        )
+        est = volume.estimate(prior, target, workers=args.workers)
         rows.append(
             {
                 "system": prior.system,
@@ -287,48 +280,17 @@ def _volume_rows(prior: volume.PriorSpec, targets: list[str], workers) -> list[d
                 "probability": est.probability,
                 "std_error": est.std_error,
                 "n_compatible": est.n_compatible,
-                "analytic": analytic,
+                "analytic": float(volume.analytic_cube_probability(target)) if cube else None,
             }
         )
-    return rows
-
-
-def cmd_volume(args) -> str:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read {args.config!r}: {exc}") from None
-        keys, targets = parse_prior_config(text)
-        prior = volume.PriorSpec(
-            system=keys["system"],
-            n_samples=keys["n_samples"],
-            seed=keys["seed"],
-            bounds=keys.get("bounds"),
-        )
-    else:
-        if not args.target:
-            raise ConfigError("at least one --target is required without --config")
-        bounds = _parse_bounds(args.bounds, "--bounds") if args.bounds else None
-        prior = volume.PriorSpec(
-            system=args.system, n_samples=args.n_samples, seed=args.seed, bounds=bounds
-        )
-        targets = [t.lower() for t in args.target]
-    rows = _volume_rows(prior, targets, args.workers)
-    if args.format == "json":
-        return _emit_json(rows)
-    if args.format == "csv":
-        return _emit_csv(list(rows[0]), [list(row.values()) for row in rows])
-    lines = []
-    for row in rows:
-        extra = "" if row["analytic"] is None else f"  (analytic {_fmt(row['analytic'])})"
-        lines.append(
-            f"{row['system']}/{row['target']}: probability = {_fmt(row['probability'])} "
-            f"+- {_fmt(row['std_error'])}  [{row['n_compatible']}/{row['n_samples']} "
-            f"compatible, seed {row['seed']}]{extra}"
-        )
-    return _emit_plain(lines)
+    lines = [
+        f"{row['system']}/{row['target']}: probability = {_fmt(row['probability'])} "
+        f"+- {_fmt(row['std_error'])}  [{row['n_compatible']}/{row['n_samples']} "
+        f"compatible, seed {row['seed']}]"
+        + ("" if row["analytic"] is None else f"  (analytic {_fmt(row['analytic'])})")
+        for row in rows
+    ]
+    return _records(rows, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +298,7 @@ def cmd_volume(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_power(args) -> str:
+def cmd_power(args) -> tuple:
     truth = RiskTable(p00=args.p00, p01=args.p01, p10=args.p10, p11=args.p11)
     if args.n is not None:
         design = power.StudyDesign(args.n, args.n, args.n, args.n)
@@ -363,17 +325,13 @@ def cmd_power(args) -> str:
         }
         for scale, sp in result.by_scale.items()
     ]
-    if args.format == "json":
-        return _emit_json(rows)
-    if args.format == "csv":
-        return _emit_csv(list(rows[0]), [list(row.values()) for row in rows])
     lines = [
         f"{row['scale']}: rejection rate = {_fmt(row['rejection_rate'])} "
         f"+- {_fmt(row['std_error'])}  (alpha {_fmt(row['alpha'])}, reps {row['reps']}, "
         f"n {row['n_pattern']}, degenerate {row['degenerate_count']})"
         for row in rows
     ]
-    return _emit_plain(lines)
+    return _records(rows, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +352,19 @@ def _from_table(system: str, t: RiskTable) -> dict[str, float]:
     return {f: getattr(c, f) for f in _field_names(system)}
 
 
-def cmd_convert(args) -> str:
+def cmd_convert(args) -> tuple:
     src = args.from_system
     dst = args.to_system
     tables = _CONVERT[src][1](_coords_from_args(src, args))
     solutions = [_from_table(dst, t) for t in tables]
-    if args.format == "json":
-        return _emit_json(
-            {"from": src, "to": dst, "count": len(solutions), "solutions": solutions}
-        )
-    if args.format == "csv":
-        rows = [[i, field, v] for i, sol in enumerate(solutions) for field, v in sol.items()]
-        return _emit_csv(["solution", "field", "value"], rows)
+    payload = {"from": src, "to": dst, "count": len(solutions), "solutions": solutions}
+    rows = [[i, field, v] for i, sol in enumerate(solutions) for field, v in sol.items()]
     lines = [f"{src} -> {dst}: {len(solutions)} solution(s)"]
-    for i, sol in enumerate(solutions):
-        parts = ", ".join(f"{field} = {_fmt(v)}" for field, v in sol.items())
-        lines.append(f"[{i}] {parts}")
-    return _emit_plain(lines)
+    lines += [
+        f"[{i}] " + ", ".join(f"{field} = {_fmt(v)}" for field, v in sol.items())
+        for i, sol in enumerate(solutions)
+    ]
+    return payload, ["solution", "field", "value"], rows, lines
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_measures)
 
     p = sub.add_parser("feasible", help="homogeneity completion for three known risks")
-    p.add_argument("--p00", type=float, required=True)
-    p.add_argument("--p10", type=float, required=True)
-    p.add_argument("--p01", type=float, required=True)
+    for f in ("p00", "p10", "p01"):
+        p.add_argument(f"--{f}", type=float, required=True)
     p.add_argument("--measure", choices=MEASURES, required=True)
     _add_format(p)
     p.set_defaults(fn=cmd_feasible)
@@ -493,13 +446,10 @@ def main(argv: list[str] | None = None) -> int:
             argv[i : i + 2] = ["--bounds=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
-        sys.stdout.write(args.fn(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        sys.stdout.write(_render(args.format, *args.fn(args)))
     except EffectGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4

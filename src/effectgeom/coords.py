@@ -34,6 +34,7 @@ not an edge case.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -65,8 +66,16 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+class _FiniteCoords:
+    """Base of the coordinate dataclasses: every field is a finite float."""
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _check_finite(f.name, getattr(self, f.name)))
+
+
 @dataclass(frozen=True)
-class PoissonCoords:
+class PoissonCoords(_FiniteCoords):
     """Log-linear coordinates (log baseline risk, log relative risk)."""
 
     beta0: float
@@ -74,13 +83,9 @@ class PoissonCoords:
     alpha0: float
     alpha1: float
 
-    def __post_init__(self) -> None:
-        for name in ("beta0", "beta1", "alpha0", "alpha1"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
-
 
 @dataclass(frozen=True)
-class RrOpCoords:
+class RrOpCoords(_FiniteCoords):
     """Variation-independent coordinates (log relative risk, log odds product)."""
 
     alpha0: float
@@ -88,13 +93,9 @@ class RrOpCoords:
     gamma0: float
     gamma1: float
 
-    def __post_init__(self) -> None:
-        for name in ("alpha0", "alpha1", "gamma0", "gamma1"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
-
 
 @dataclass(frozen=True)
-class LogisticCoords:
+class LogisticCoords(_FiniteCoords):
     """Saturated log-odds coordinates (log odds, log odds ratio)."""
 
     b0: float
@@ -102,23 +103,15 @@ class LogisticCoords:
     a0: float
     a1: float
 
-    def __post_init__(self) -> None:
-        for name in ("b0", "b1", "a0", "a1"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
-
 
 @dataclass(frozen=True)
-class RrEtaCoords:
+class RrEtaCoords(_FiniteCoords):
     """Coordinates (log relative risk, log shifted-odds contrast)."""
 
     alpha0: float
     alpha1: float
     e0: float
     e1: float
-
-    def __post_init__(self) -> None:
-        for name in ("alpha0", "alpha1", "e0", "e1"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -147,17 +140,21 @@ class StratumSolutionSet:
 # ---------------------------------------------------------------------------
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _risk_from(component: str, value: float) -> float:
     if not in_guard(value):
         raise OutOfDomainError(component, value, ">= 1" if value > 0.5 else "<= 0")
     return value
+
+
+def _table_from(cells, inverse_link) -> RiskTable:
+    """The table whose risks are ``inverse_link`` of the (name, value) cells.
+
+    Raises:
+        OutOfDomainError: naming the first cell whose risk fails `in_guard`.
+    """
+    with np.errstate(over="ignore"):
+        risks = inverse_link(np.array([x for _, x in cells])).tolist()
+    return RiskTable(**{name: _risk_from(name, p) for (name, _), p in zip(cells, risks)})
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +185,7 @@ def from_poisson(c: PoissonCoords) -> RiskTable:
         ("p10", c.beta0 + c.beta1),
         ("p11", c.beta0 + c.beta1 + c.alpha0 + c.alpha1),
     )
-    values = {name: _risk_from(name, _exp_or_inf(logp)) for name, logp in cells}
-    return RiskTable(**values)
+    return _table_from(cells, np.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +280,7 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
         ("p10", c.b0 + c.b1),
         ("p11", c.b0 + c.b1 + c.a0 + c.a1),
     )
-    risks = expit(np.array([x for _, x in cells])).tolist()
-    values = {name: _risk_from(name, p) for (name, _), p in zip(cells, risks)}
-    return RiskTable(**values)
+    return _table_from(cells, expit)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +458,8 @@ def from_rr_eta(c: RrEtaCoords) -> list[RiskTable]:
     (p00, p10).  An empty list means at least one stratum's contrast level is
     unattainable at its implied relative risk.
     """
-    c0 = _exp_or_inf(c.e0)
-    c1 = _exp_or_inf(c.e0 + c.e1)
+    with np.errstate(over="ignore"):
+        c0, c1 = np.exp([c.e0, c.e0 + c.e1]).tolist()
     if c0 == 0.0 or c1 == 0.0:  # log target underflowed past float range
         return []
     set0 = solve_stratum_from_rr_eta(c.alpha0, c0)

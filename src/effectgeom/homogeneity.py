@@ -32,6 +32,15 @@ Compatibility semantics per system:
              shared relative risk; the log-OR target needs some stratum-0
              solution whose log odds ratio is under ``c1 - log 1.5``, the
              supremum attainable on the stratum-1 contrast level curve.
+             Limit: only stratum 0's roots pass the guard.  ``c1 - log 1.5``
+             is the supremum without it; inside the guard the stratum-1
+             curve reaches far less (log odds ratios in [29.547, 29.595]
+             at c1 = 30, by a 50-digit scan), so a draw with large
+             ``e0 + e1`` can be called compatible although no table inside
+             the guard matches it.  The log-RR target checks attainability
+             only and ignores the guard on both strata in the same way
+             (for example beyond |alpha0| = 27.6).  Under ``rr_eta`` a True
+             verdict therefore does not promise a witness table.
 
 All checks are pure.  Each formula is written once, for numpy arrays; the
 scalar forms are the batch forms at one point, so both make the exact same
@@ -68,6 +77,24 @@ SUPPORTED_TARGETS = {
 }
 
 
+def check_supported(system: str, target: str) -> None:
+    """Raise unless ``target`` is an interaction target supported under ``system``.
+
+    Raises:
+        UnsupportedSystemError: if ``system`` is not a compatibility system.
+        UnsupportedTargetError: if ``system`` does not support ``target``.
+    """
+    if system not in COMPATIBILITY_SYSTEMS:
+        raise UnsupportedSystemError(
+            f"system must be one of {COMPATIBILITY_SYSTEMS}, got {system!r}"
+        )
+    if target not in SUPPORTED_TARGETS[system]:
+        raise UnsupportedTargetError(
+            f"target {target!r} not supported for system {system!r}; "
+            f"supported: {SUPPORTED_TARGETS[system]}"
+        )
+
+
 @dataclass(frozen=True)
 class HomogeneityQuery:
     """Three known risks plus the measure whose homogeneity is in question."""
@@ -93,15 +120,7 @@ class CompatibilityQuery:
     target: str
 
     def __post_init__(self) -> None:
-        if self.system not in COMPATIBILITY_SYSTEMS:
-            raise UnsupportedSystemError(
-                f"system must be one of {COMPATIBILITY_SYSTEMS}, got {self.system!r}"
-            )
-        if self.target not in SUPPORTED_TARGETS[self.system]:
-            raise UnsupportedTargetError(
-                f"target {self.target!r} not supported for system {self.system!r}; "
-                f"supported: {SUPPORTED_TARGETS[self.system]}"
-            )
+        check_supported(self.system, self.target)
         point = tuple(float(x) for x in self.point)
         if len(point) != 3:
             raise DomainError(f"point must have 3 coordinates, got {len(point)}")
@@ -194,14 +213,7 @@ _BATCH = {"prob": _prob_batch, "rr_op": _rr_op_batch, "rr_eta": _rr_eta_batch}
 
 def check_compatibility_batch(system: str, points: np.ndarray, target: str) -> np.ndarray:
     """Vectorized compatibility verdicts for an (n, 3) array of points."""
-    if system not in COMPATIBILITY_SYSTEMS:
-        raise UnsupportedSystemError(
-            f"system must be one of {COMPATIBILITY_SYSTEMS}, got {system!r}"
-        )
-    if target not in SUPPORTED_TARGETS[system]:
-        raise UnsupportedTargetError(
-            f"target {target!r} not supported for system {system!r}"
-        )
+    check_supported(system, target)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DomainError(f"points must have shape (n, 3), got {points.shape}")

@@ -54,19 +54,22 @@ def resolve_workers(workers: int | None) -> int:
 
     Raises:
         DomainError: if ``workers`` is below 1.
-        ConfigError: if the environment override is not an integer.
+        ConfigError: if the environment override is not an integer >= 1.
     """
     if workers is not None:
         if workers < 1:
             raise DomainError(f"workers must be >= 1, got {workers}")
         return int(workers)
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
+    return workers
 
 
 def run_chunked(
@@ -79,14 +82,16 @@ def run_chunked(
 
     ``task`` must be a module-level function returning an integer ndarray of
     fixed shape (so it can be shipped to a process pool); the sum is
-    order-independent, so any worker count yields identical totals.
+    order-independent, so any worker count yields identical totals.  The
+    pool never has more processes than chunks or CPUs: under the ``fork``
+    start method it starts all of them at the first submit.
     """
     layout = chunk_layout(n)
-    workers = resolve_workers(workers)
-    if workers == 1 or len(layout) == 1:
+    workers = min(resolve_workers(workers), len(layout), os.cpu_count() or 1)
+    if workers == 1:
         parts = [task(*args, index, size) for index, size in layout]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(layout))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(task, *args, index, size) for index, size in layout]
             parts = [f.result() for f in futures]
     return np.sum(np.stack(parts), axis=0)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import mc
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
-from .homogeneity import SUPPORTED_TARGETS, check_compatibility_batch
+from .homogeneity import check_compatibility_batch, check_supported
 
 #: Default coordinate boxes.  The probability scale uses the unit cube; the
 #: log-scale systems use moderate symmetric ranges around no effect.
@@ -117,11 +117,7 @@ def estimate(prior: PriorSpec, target: str, workers: int | None = None) -> Volum
     ``sqrt(p(1-p)/n)``.  Identical specs give identical results for every
     worker count.
     """
-    if target not in SUPPORTED_TARGETS[prior.system]:
-        raise UnsupportedTargetError(
-            f"target {target!r} not supported for system {prior.system!r}; "
-            f"supported: {SUPPORTED_TARGETS[prior.system]}"
-        )
+    check_supported(prior.system, target)
     total = mc.run_chunked(_chunk_counts, (prior, target), prior.n_samples, workers)
     n_compatible = int(total[0])
     n = prior.n_samples

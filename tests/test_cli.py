@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,7 @@ class TestErrorContract:
             (["volume", "--config", "{tmp}/missing.cfg"], {}, 2),
             (["volume", "--config", "{tmp}"], {}, 2),
             (["volume", "--config", "{tmp}/latin1.cfg"], {}, 2),
+            (["volume", "--target", "rr", "--n-samples", "10"], {"EFFECTGEOM_WORKERS": "0"}, 2),
         ],
     )
     def test_exit_codes(self, tmp_path, argv, env, code):
@@ -228,6 +230,69 @@ class TestGoldenOutputs:
             "count": 1,
             "solutions": [{"p00": 0.5, "p01": 0.5, "p10": 0.5, "p11": 0.5}],
         }
+
+
+_GOLDEN_CONFIG = (
+    "system = prob\nseed = 3\nn_samples = 70000\nbounds = 0:0.5, 0:1, 0:1\n"
+    "[target rd]\n[target rr]\n"
+)
+
+#: case -> argv without ``--format``.  Every case runs in every format.
+_GOLDEN_CASES = {
+    "measures": ["measures", "--p00", ".27", "--p01", ".81", "--p10", ".46", "--p11", ".99"],
+    "feasible_rd_infeasible": ["feasible", "--p00", ".27", "--p10", ".46", "--p01", ".82",
+                               "--measure", "rd"],
+    "feasible_or": ["feasible", "--p00", ".27", "--p10", ".46", "--p01", ".81",
+                    "--measure", "or"],
+    "volume_cube": ["volume", "--target", "rd", "--target", "rr", "--target", "or",
+                    "--n-samples", "50000", "--seed", "42"],
+    "volume_rr_eta_chunks": ["volume", "--system", "rr_eta", "--target", "rr", "--target", "or",
+                             "--n-samples", "150000", "--seed", "7"],
+    "volume_config": ["volume", "--config", "{cfg}"],
+    "power": ["power", "--p00", ".5", "--p01", ".5", "--p10", ".5", "--p11", ".5",
+              "--n", "100", "--reps", "2000", "--seed", "5"],
+    "power_chunks": ["power", *_TABLE, "--n00", "30", "--n01", "50", "--n10", "40",
+                     "--n11", "60", "--reps", "150000", "--seed", "11"],
+    "convert_rr_eta_4": ["convert", "--from-system", "rr_eta", "--to-system", "prob",
+                         "--alpha0", "-0.5", "--alpha1", "0", "--e0", "0.2", "--e1", "0.1"],
+    "convert_rr_eta_0": ["convert", "--from-system", "rr_eta", "--to-system", "prob",
+                         "--alpha0", "0.5", "--alpha1", "0", "--e0", "0.01", "--e1", "0"],
+    # not to logistic: numpy's log differs in the last digit between SIMD levels
+    "convert_prob_rr_op": ["convert", "--from-system", "prob", "--to-system", "rr_op",
+                           "--p00", ".27", "--p01", ".81", "--p10", ".46", "--p11", ".99"],
+    "convert_out_of_domain": ["convert", "--from-system", "poisson", "--to-system", "prob",
+                              "--beta0", "-0.5", "--beta1", "0", "--alpha0", "0.7",
+                              "--alpha1", "0"],
+    "convert_missing_flags": ["convert", "--from-system", "rr_op", "--to-system", "prob",
+                              "--alpha0", "0"],
+}
+
+
+class TestGoldenMatrix:
+    """Exact stdout, stderr and exit code of every command in every format.
+
+    The expected values in ``golden_cli.json`` were captured from the CLI as
+    it stood before its three per-format writers were merged into one
+    renderer.  A change that means to move a byte edits the entry and says
+    why.  Setting ``EFFECTGEOM_WORKERS=2`` runs the multi-chunk cases
+    through the process pool; the bytes must not change.
+    """
+
+    GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+    def test_bytes(self, tmp_path, case, fmt):
+        (tmp_path / "run.cfg").write_text(_GOLDEN_CONFIG)
+        argv = [a.replace("{cfg}", str(tmp_path / "run.cfg")) for a in _GOLDEN_CASES[case]]
+        assert _run_in_process([*argv, "--format", fmt]) == self.GOLDEN[f"{case}/{fmt}"]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 class TestConvertRoundTrip:

@@ -69,6 +69,13 @@ class TestPoisson:
         assert exc.value.component == "p11"
         assert exc.value.value == pytest.approx(1.38, rel=1e-12)
 
+    def test_overflowing_risk_is_out_of_domain(self):
+        # exp(800) overflows to inf, with no RuntimeWarning, and names the cell
+        with pytest.raises(OutOfDomainError) as exc:
+            from_poisson(PoissonCoords(-1.0, 801.0, 0.0, 0.0))
+        assert exc.value.component == "p10"
+        assert exc.value.value == math.inf
+
     def test_inverse_constant(self):
         t = from_poisson(PoissonCoords(math.log(0.5), 0.0, 0.0, 0.0))
         assert t == RiskTable(0.5, 0.5, 0.5, 0.5)
@@ -311,6 +318,11 @@ class TestRrEtaSystem:
         e0 = math.log(floor + 0.5)
         e1 = math.log(floor - 0.05) - e0
         assert from_rr_eta(RrEtaCoords(theta, 0.0, e0, e1)) == []
+
+    @pytest.mark.parametrize("e0, e1", [(800.0, 0.0), (0.1, 800.0), (-800.0, 0.0)])
+    def test_contrast_level_past_float_range_gives_empty_list(self, e0, e1):
+        # exp overflows to inf or underflows to 0 with no RuntimeWarning
+        assert from_rr_eta(RrEtaCoords(-0.5, 0.0, e0, e1)) == []
 
     def test_forward_rejects_zero_contrast(self):
         from effectgeom import StratumPair

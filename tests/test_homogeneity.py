@@ -11,11 +11,13 @@ from effectgeom import (
     CompatibilityQuery,
     DomainError,
     HomogeneityQuery,
+    PriorSpec,
     RiskTable,
     UnsupportedSystemError,
     UnsupportedTargetError,
     check_compatibility,
     complete_table,
+    estimate,
     from_rr_op,
     is_feasible,
     odds_ratio,
@@ -103,6 +105,18 @@ class TestGuardEdges:
 
 
 class TestCompatibilityValidation:
+    @pytest.mark.parametrize("check", [
+        lambda: CompatibilityQuery("rr_op", (0.0, 0.0, 0.0), "rd"),
+        lambda: check_compatibility_batch("rr_op", np.zeros((1, 3)), "rd"),
+        lambda: estimate(PriorSpec("rr_op", n_samples=1, seed=0), "rd"),
+    ], ids=["query", "batch", "estimate"])
+    def test_one_message_for_an_unsupported_target(self, check):
+        with pytest.raises(UnsupportedTargetError) as exc:
+            check()
+        assert str(exc.value) == (
+            "target 'rd' not supported for system 'rr_op'; supported: ('rr', 'or')"
+        )
+
     def test_unknown_system(self):
         with pytest.raises(UnsupportedSystemError):
             CompatibilityQuery("poisson", (0.1, 0.2, 0.3), "rr")

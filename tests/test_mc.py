@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ class TestResolveWorkers:
         with pytest.raises(ConfigError):
             mc.resolve_workers(None)
 
+    @pytest.mark.parametrize("env", ["0", "-5"])
+    def test_env_override_below_one_is_an_error(self, monkeypatch, env):
+        monkeypatch.setenv(mc.WORKERS_ENV_VAR, env)
+        with pytest.raises(ConfigError, match=">= 1"):
+            mc.resolve_workers(None)
+
 
 def _toy_task(scale: int, index: int, size: int) -> np.ndarray:
     rng = mc.chunk_rng(0, index)
@@ -64,3 +72,31 @@ class TestRunChunked:
         serial = mc.run_chunked(_toy_task, (2,), n, workers=1)
         parallel = mc.run_chunked(_toy_task, (2,), n, workers=4)
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("cpus, pool_size", [(None, None), (1, None), (2, 2), (3, 3), (64, 5)])
+    def test_pool_is_capped_at_chunks_and_cpus(self, monkeypatch, cpus, pool_size):
+        # a stand-in pool that records its size and runs each task inline, so
+        # that a huge worker count starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        n = 5 * mc.CHUNK_SIZE
+        total = mc.run_chunked(_toy_task, (2,), n, workers=100_000)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert np.array_equal(total, mc.run_chunked(_toy_task, (2,), n, workers=1))
