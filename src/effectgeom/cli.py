@@ -237,20 +237,6 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
     return keys, targets
 
 
-def format_prior_config(prior: volume.PriorSpec, targets: list[str]) -> str:
-    """Render a prior as a configuration document `parse_prior_config` accepts."""
-    bounds = ", ".join(f"{lo:g}:{hi:g}" for lo, hi in prior.bounds)
-    lines = [
-        f"system = {prior.system}",
-        f"seed = {prior.seed}",
-        f"n_samples = {prior.n_samples}",
-        f"bounds = {bounds}",
-        "",
-    ]
-    lines += [f"[target {t}]" for t in targets]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_volume(args) -> tuple:
     if args.config:
         try:

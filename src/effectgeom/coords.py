@@ -209,7 +209,7 @@ def rr_op_risks_vec(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     where the discriminant form ``w [w (1-r)^2 + 4 r]`` is positive by
     construction (no subtraction).  The w = 1 degenerate (linear) case lands
     on the same formula: p0 = 1 / (1 + r).  Element-wise over arrays.  In
-    floats the root can fall outside the open-interval guard
+    floats the root can fall outside the inclusive guard
     (`DEFAULT_EPS`) once |theta| or |phi| is large.
     """
     r = np.exp(theta)
@@ -226,7 +226,7 @@ def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
     `rr_op_risks_vec` at a single point.
 
     Raises:
-        DomainError: if a risk falls outside the open-interval guard.
+        DomainError: if a risk falls outside the inclusive guard.
     """
     theta = _check_finite("theta", theta)
     phi = _check_finite("phi", phi)
@@ -272,7 +272,7 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
     """Invert via the logistic function; a bijection with real 4-tuples.
 
     In float arithmetic, coefficient sums beyond about +-27.6 produce risks
-    outside the open-interval guard and raise ``OutOfDomainError``.
+    outside the inclusive guard and raise ``OutOfDomainError``.
     """
     cells = (
         ("p00", c.b0),
@@ -415,7 +415,7 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> StratumSolutionSet:
 
     The roots of g = +c and g = -c are the roots of one quadratic per sign
     branch (see the shape notes above), with at most two inside the
-    open-interval guard.  Pairs whose risks fall outside the guard are
+    inclusive guard.  Pairs whose risks fall outside the guard are
     dropped.
 
     Raises:

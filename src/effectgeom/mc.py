@@ -9,7 +9,7 @@ aggregation is a sum of per-chunk integer counts.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +18,10 @@ from .errors import ConfigError, DomainError
 
 #: Samples per chunk; fixed so that (seed, chunk index) -> stream is stable.
 CHUNK_SIZE = 65536
+
+#: Rows a chunk task evaluates at a time, which bounds each worker's
+#: temporaries; results do not depend on it.
+BLOCK_SIZE = 4096
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "EFFECTGEOM_WORKERS"
@@ -80,18 +84,17 @@ def run_chunked(
 ) -> np.ndarray:
     """Sum ``task(*args, index, size)`` over all chunks covering n samples.
 
-    ``task`` must be a module-level function returning an integer ndarray of
-    fixed shape (so it can be shipped to a process pool); the sum is
+    ``task`` must return an integer ndarray of fixed shape; the sum is
     order-independent, so any worker count yields identical totals.  The
-    pool never has more processes than chunks or CPUs: under the ``fork``
-    start method it starts all of them at the first submit.
+    chunks run on a thread pool with no more threads than chunks or CPUs,
+    and an exception a task raises reaches the caller unchanged.
     """
     layout = chunk_layout(n)
     workers = min(resolve_workers(workers), len(layout), os.cpu_count() or 1)
     if workers == 1:
         parts = [task(*args, index, size) for index, size in layout]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(task, *args, index, size) for index, size in layout]
             parts = [f.result() for f in futures]
     return np.sum(np.stack(parts), axis=0)

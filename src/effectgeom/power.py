@@ -173,19 +173,23 @@ def _chunk_tallies(
     index: int,
     size: int,
 ) -> np.ndarray:
-    """Per-chunk [rejected, degenerate] pairs for each scale, as a flat array."""
+    """Per-chunk [rejected, degenerate] pairs for each scale, as a flat array.
+
+    Each cell is drawn whole, in cell order 00, 01, 10, 11, since drawing it
+    in blocks would change the stream; only `_wald` runs block by block.
+    """
     rng = mc.chunk_rng(seed, index)
-    events = np.stack(
-        [rng.binomial(n, p, size=size) for n, p in zip(design_cells, truth_cells)]
-    )  # shape (4, size), cell order 00, 01, 10, 11
+    cells = [rng.binomial(n, p, size=size) for n, p in zip(design_cells, truth_cells)]
     totals = np.array(design_cells, dtype=float)[:, None]
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, (est, var) in enumerate(_wald(events, totals)):
-            valid = var > 0.0
-            z = np.abs(est / np.sqrt(var))
-            out[2 * i] = int((valid & (z > z_crit)).sum())
-            out[2 * i + 1] = int((~valid).sum())
+        for start in range(0, size, mc.BLOCK_SIZE):
+            events = np.stack([c[start : start + mc.BLOCK_SIZE] for c in cells])
+            for i, (est, var) in enumerate(_wald(events, totals)):
+                valid = var > 0.0
+                z = np.abs(est / np.sqrt(var))
+                out[2 * i] += int((valid & (z > z_crit)).sum())
+                out[2 * i + 1] += int((~valid).sum())
     return out
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Default open-interval guard: probabilities are accepted in [eps, 1 - eps].
+#: Default inclusive guard: probabilities are accepted in [eps, 1 - eps].
 DEFAULT_EPS = 1e-12
 
 #: Association measures with a homogeneity notion used across the package.

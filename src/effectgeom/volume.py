@@ -15,7 +15,7 @@ closed forms, exposed by `analytic_cube_probability`:
     or  ->  1          the odds completion always lands inside (0, 1)
 
 Under ``rr_op`` both targets have probability exactly 1 on every box whose
-witness risks stay inside the open-interval guard (1e-12; see
+witness risks stay inside the inclusive guard (1e-12; see
 :mod:`effectgeom.homogeneity`), and 0 on a box wholly outside it, such as
 alpha0 in [700, 800], where every baseline risk is below 1e-12.
 
@@ -100,13 +100,15 @@ class VolumeEstimate:
 
 
 def _chunk_counts(prior: PriorSpec, target: str, index: int, size: int) -> np.ndarray:
+    # consecutive random((b, 3)) calls continue one random((size, 3)) stream
     rng = mc.chunk_rng(prior.seed, index)
-    u = rng.random((size, 3))
     lows = np.array([b[0] for b in prior.bounds])
-    highs = np.array([b[1] for b in prior.bounds])
-    points = lows + u * (highs - lows)
-    ok = check_compatibility_batch(prior.system, points, target)
-    return np.array([int(ok.sum())], dtype=np.int64)
+    widths = np.array([b[1] for b in prior.bounds]) - lows
+    count = 0
+    for start in range(0, size, mc.BLOCK_SIZE):
+        u = rng.random((min(mc.BLOCK_SIZE, size - start), 3))
+        count += int(check_compatibility_batch(prior.system, lows + u * widths, target).sum())
+    return np.array([count], dtype=np.int64)
 
 
 def estimate(prior: PriorSpec, target: str, workers: int | None = None) -> VolumeEstimate:

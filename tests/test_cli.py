@@ -93,7 +93,7 @@ class TestErrorContract:
 
 # The argv fuzz starts from a valid call of each command and adds flags drawn
 # from these values.  Sample counts stay small so that every accepted run is
-# quick, and worker counts stay at most 1 so that no process pool starts.
+# quick, and worker counts stay at most 1 so that no pool starts.
 _VALID = {
     "measures": _TABLE,
     "feasible": ["--p00", ".2", "--p10", ".4", "--p01", ".5", "--measure", "rr"],
@@ -275,7 +275,7 @@ class TestGoldenMatrix:
     it stood before its three per-format writers were merged into one
     renderer.  A change that means to move a byte edits the entry and says
     why.  Setting ``EFFECTGEOM_WORKERS=2`` runs the multi-chunk cases
-    through the process pool; the bytes must not change.
+    through the thread pool; the bytes must not change.
     """
 
     GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -378,19 +378,6 @@ class TestConfigFile:
         p = run("volume", "--config", str(cfg))
         assert p.returncode == 2
         assert "target" in p.stderr
-
-    def test_serialization_round_trip(self):
-        from effectgeom import PriorSpec
-        from effectgeom.cli import format_prior_config, parse_prior_config
-
-        prior = PriorSpec("rr_eta", n_samples=4096, seed=17)
-        keys, targets = parse_prior_config(format_prior_config(prior, ["rr", "or"]))
-        rebuilt = PriorSpec(
-            system=keys["system"], n_samples=keys["n_samples"],
-            seed=keys["seed"], bounds=keys.get("bounds"),
-        )
-        assert rebuilt == prior
-        assert targets == ["rr", "or"]
 
 
 class TestDeterminism:

@@ -1,10 +1,11 @@
+import threading
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from effectgeom import mc
-from effectgeom.errors import ConfigError
+from effectgeom.errors import ConfigError, DomainError
 
 
 class TestChunkLayout:
@@ -76,7 +77,7 @@ class TestRunChunked:
     @pytest.mark.parametrize("cpus, pool_size", [(None, None), (1, None), (2, 2), (3, 3), (64, 5)])
     def test_pool_is_capped_at_chunks_and_cpus(self, monkeypatch, cpus, pool_size):
         # a stand-in pool that records its size and runs each task inline, so
-        # that a huge worker count starts no process
+        # that a huge worker count starts no thread
         sizes = []
 
         class InlinePool:
@@ -94,9 +95,26 @@ class TestRunChunked:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
         n = 5 * mc.CHUNK_SIZE
         total = mc.run_chunked(_toy_task, (2,), n, workers=100_000)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert np.array_equal(total, mc.run_chunked(_toy_task, (2,), n, workers=1))
+
+    def test_worker_exception_reaches_the_caller_unchanged(self, monkeypatch):
+        # the CLI maps DomainError to exit 3 and ConfigError to exit 2, so an
+        # error raised on a worker thread must arrive as the same object
+        raised = []
+
+        def task(index, size):
+            if index == 1:
+                assert threading.current_thread() is not threading.main_thread()
+                raised.append(DomainError(f"chunk {index}"))
+                raise raised[-1]
+            return np.array([size], dtype=np.int64)
+
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        with pytest.raises(DomainError, match="chunk 1") as info:
+            mc.run_chunked(task, (), 3 * mc.CHUNK_SIZE, workers=2)
+        assert info.value is raised[0]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from effectgeom import (
@@ -9,6 +10,8 @@ from effectgeom import (
     RiskTable,
     SCALES,
     StudyDesign,
+    mc,
+    power,
     simulate_dataset,
     simulate_power,
     wald_interaction,
@@ -195,3 +198,24 @@ class TestExactRates:
             valid = res.reps - sp.n_degenerate
             se = math.sqrt(exact[scale] * (1.0 - exact[scale]) / valid)
             assert abs(sp.rate - exact[scale]) <= 4.0 * se, (scale, sp.rate, exact[scale])
+
+
+class TestChunkBlocking:
+    """`_chunk_tallies` runs `_wald` in blocks; the tallies equal one whole-chunk call."""
+
+    @pytest.mark.parametrize(
+        "size", [1, mc.BLOCK_SIZE - 1, mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1, mc.CHUNK_SIZE]
+    )
+    @pytest.mark.parametrize("design", [(10, 10, 10, 10), (3, 5, 4, 6)])
+    def test_blocked_tallies_equal_unblocked(self, design, size):
+        truth, z_crit, seed, index = (0.2, 0.35, 0.3, 0.6), 1.959964, 17, 2
+        rng = mc.chunk_rng(seed, index)
+        events = np.stack([rng.binomial(n, p, size=size) for n, p in zip(design, truth)])
+        want = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for est, var in power._wald(events, np.array(design, dtype=float)[:, None]):
+                valid = var > 0.0
+                want += [int((valid & (np.abs(est / np.sqrt(var)) > z_crit)).sum()),
+                         int((~valid).sum())]
+        got = power._chunk_tallies(truth, design, z_crit, seed, index, size)
+        assert got.tolist() == want

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from effectgeom import (
@@ -11,7 +12,10 @@ from effectgeom import (
     analytic_cube_probability,
     estimate,
     is_unit_cube,
+    mc,
+    volume,
 )
+from effectgeom.homogeneity import SUPPORTED_TARGETS, check_compatibility_batch
 
 
 class TestPriorSpec:
@@ -148,3 +152,28 @@ class TestDeterminism:
         a = estimate(PriorSpec("prob", 50_000, seed=1), "rr")
         b = estimate(PriorSpec("prob", 50_000, seed=2), "rr")
         assert a.n_compatible != b.n_compatible
+
+# a box per system on which each target's verdicts are mixed (prob/or is 1
+# on every box); the rr_op box reaches past the guard
+_BLOCKING_BOXES = {
+    "prob": None,
+    "rr_op": ((-40.0, 40.0), (-2.0, 2.0), (-2.0, 2.0)),
+    "rr_eta": None,
+}
+
+
+class TestChunkBlocking:
+    """`_chunk_counts` evaluates in blocks; the count equals one whole-chunk pass."""
+
+    @pytest.mark.parametrize(
+        "size", [1, mc.BLOCK_SIZE - 1, mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1, mc.CHUNK_SIZE]
+    )
+    @pytest.mark.parametrize(
+        "system, target", [(s, t) for s, targets in SUPPORTED_TARGETS.items() for t in targets]
+    )
+    def test_blocked_count_equals_unblocked(self, system, target, size):
+        prior = PriorSpec(system, n_samples=mc.CHUNK_SIZE, seed=31, bounds=_BLOCKING_BOXES[system])
+        u = mc.chunk_rng(prior.seed, 3).random((size, 3))
+        lows, highs = np.array(prior.bounds).T
+        ok = check_compatibility_batch(system, lows + u * (highs - lows), target)
+        assert volume._chunk_counts(prior, target, 3, size).tolist() == [int(ok.sum())]
