@@ -10,9 +10,8 @@ Subcommands::
 
 Output formats: ``plain`` (6 significant digits), ``csv`` and ``json`` (full
 float precision).  Exit codes: 0 success, 2 usage or configuration error
-(including an unreadable ``--config`` file and an ``EFFECTGEOM_WORKERS``
-that is not an integer >= 1), 3 domain error, 4 internal failure.  No user
-input exits 4.
+(including an unreadable ``--config`` file), 3 domain error (including a
+``--workers`` below 1), 4 internal failure.  No user input exits 4.
 """
 
 from __future__ import annotations
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounds", help='three low:high pairs, e.g. "0:1,0:1,0:1"')
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     _add_format(p)
     p.set_defaults(fn=cmd_volume)
 
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     _add_format(p)
     p.set_defaults(fn=cmd_power)
 

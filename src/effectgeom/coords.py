@@ -114,27 +114,6 @@ class RrEtaCoords(_FiniteCoords):
     e1: float
 
 
-@dataclass(frozen=True)
-class StratumSolutionSet:
-    """Finite set of stratum pairs, sorted by baseline risk.
-
-    Entries are distinct to within 1e-9 in ``p0``.  Empty sets are a normal
-    outcome (the requested contrast level is unattainable at that relative
-    risk), not an error.
-    """
-
-    solutions: tuple[StratumPair, ...]
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __bool__(self) -> bool:
-        return bool(self.solutions)
-
-
 # ---------------------------------------------------------------------------
 # small numeric helpers
 # ---------------------------------------------------------------------------
@@ -410,13 +389,15 @@ def eta_attainable(theta: float, c: float) -> bool:
     return bool(eta_attainable_vec(np.array([theta]), np.array([float(c)]))[0])
 
 
-def solve_stratum_from_rr_eta(theta: float, c: float) -> StratumSolutionSet:
+def solve_stratum_from_rr_eta(theta: float, c: float) -> tuple[StratumPair, ...]:
     """All stratum pairs with log relative risk ``theta`` and contrast ``c``.
 
     The roots of g = +c and g = -c are the roots of one quadratic per sign
     branch (see the shape notes above), with at most two inside the
     inclusive guard.  Pairs whose risks fall outside the guard are
-    dropped.
+    dropped.  The pairs are sorted by ``p0`` and distinct to within 1e-9
+    in it; the tuple is empty, not an error, where the level is
+    unattainable at that relative risk.
 
     Raises:
         DomainError: if ``c <= 0`` (a log-scale coordinate never hits 0).
@@ -425,7 +406,7 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> StratumSolutionSet:
     if not (isinstance(c, (int, float)) and c > 0.0):
         raise DomainError(f"contrast level must be > 0, got {c!r}")
     if math.isinf(c):
-        return StratumSolutionSet(())
+        return ()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r, plus, minus = _level_roots(np.array([theta]), np.array([float(c)]))
         roots = sorted(float(p[0]) for p in (*plus, *minus) if _in_guard(p, r)[0])
@@ -434,7 +415,7 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> StratumSolutionSet:
         if not deduped or p - deduped[-1] > 1e-9:
             deduped.append(p)
     r = float(r[0])
-    return StratumSolutionSet(tuple(StratumPair(p0, r * p0) for p0 in deduped))
+    return tuple(StratumPair(p0, r * p0) for p0 in deduped)
 
 
 def to_rr_eta(t: RiskTable) -> RrEtaCoords:

@@ -45,9 +45,9 @@ Compatibility semantics per system:
 All checks are pure.  Each formula is written once, for numpy arrays; the
 scalar forms are the batch forms at one point, so both make the exact same
 decisions.  Every risk, given or computed, passes one inclusive guard,
-``in_guard`` (``[eps, 1 - eps]``, the rule `RiskTable` applies), so under
-``prob`` and ``rr_op`` a verdict is True exactly when its witness table can
-be built.
+``in_guard`` (``[DEFAULT_EPS, 1 - DEFAULT_EPS]``, the rule `RiskTable`
+applies), so under ``prob`` and ``rr_op`` a verdict is True exactly when its
+witness table can be built.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .coords import (
     rr_op_risks_vec,
 )
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
-from .table import DEFAULT_EPS, MEASURES, _check_prob, expit, in_guard, logit
+from .table import MEASURES, _check_prob, expit, in_guard, logit
 
 #: Systems usable as a compatibility-query coordinate prior.
 COMPATIBILITY_SYSTEMS = ("prob", "rr_op", "rr_eta")
@@ -108,7 +108,7 @@ class HomogeneityQuery:
         if self.measure not in MEASURES:
             raise DomainError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         for name in ("p00", "p10", "p01"):
-            object.__setattr__(self, name, _check_prob(name, getattr(self, name), DEFAULT_EPS))
+            object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,8 @@ def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:
         c0 = np.exp(e0)
         c1 = np.exp(e0 + e1)
         if target == "rr":
-            return eta_attainable_vec(alpha0, c0) & eta_attainable_vec(alpha0, c1)
+            # attainability rises with the level, so the lower level decides
+            return eta_attainable_vec(alpha0, np.minimum(c0, c1))
         best = eta_min_log_odds_ratio_vec(alpha0, c0)
         return best < c1 - LOG_1P5
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 #: Samples per chunk; fixed so that (seed, chunk index) -> stream is stable.
 CHUNK_SIZE = 65536
@@ -22,9 +22,6 @@ CHUNK_SIZE = 65536
 #: Rows a chunk task evaluates at a time, which bounds each worker's
 #: temporaries; results do not depend on it.
 BLOCK_SIZE = 4096
-
-#: Environment variable overriding the default worker count.
-WORKERS_ENV_VAR = "EFFECTGEOM_WORKERS"
 
 
 def check_seed(seed) -> int:
@@ -40,47 +37,24 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def chunk_layout(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
+def chunk_layout(n: int) -> list[tuple[int, int]]:
     """(index, size) pairs covering [0, n)."""
     out = []
     index = 0
     remaining = int(n)
     while remaining > 0:
-        size = min(chunk_size, remaining)
+        size = min(CHUNK_SIZE, remaining)
         out.append((index, size))
         index += 1
         remaining -= size
     return out
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Explicit argument, else the environment override, else 1.
-
-    Raises:
-        DomainError: if ``workers`` is below 1.
-        ConfigError: if the environment override is not an integer >= 1.
-    """
-    if workers is not None:
-        if workers < 1:
-            raise DomainError(f"workers must be >= 1, got {workers}")
-        return int(workers)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
-    return workers
-
-
 def run_chunked(
     task: Callable[..., np.ndarray],
     args: tuple,
     n: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> np.ndarray:
     """Sum ``task(*args, index, size)`` over all chunks covering n samples.
 
@@ -88,9 +62,14 @@ def run_chunked(
     order-independent, so any worker count yields identical totals.  The
     chunks run on a thread pool with no more threads than chunks or CPUs,
     and an exception a task raises reaches the caller unchanged.
+
+    Raises:
+        DomainError: if ``workers`` is below 1.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     layout = chunk_layout(n)
-    workers = min(resolve_workers(workers), len(layout), os.cpu_count() or 1)
+    workers = min(workers, len(layout), os.cpu_count() or 1)
     if workers == 1:
         parts = [task(*args, index, size) for index, size in layout]
     else:

@@ -199,7 +199,7 @@ def simulate_power(
     alpha: float,
     reps: int,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> PowerResult:
     """Rejection rate of each scale's test over ``reps`` simulated studies.
 

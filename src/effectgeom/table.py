@@ -2,8 +2,8 @@
 
 The fundamental object is the 2x2 risk table ``p[v][a]``: the probability of
 the outcome given stratum ``v`` (0/1) and treatment arm ``a`` (0 = baseline,
-1 = treated).  Entries live strictly inside (0, 1); a guard ``eps`` keeps
-downstream log and odds transforms away from 0 and 1.
+1 = treated).  Entries lie in the inclusive guard ``[DEFAULT_EPS, 1 - DEFAULT_EPS]``,
+which keeps downstream log and odds transforms away from 0 and 1.
 
 Within one stratum the pair ``(p0, p1)`` of baseline and treated risks
 supports the classical contrasts
@@ -25,22 +25,22 @@ All functions here are pure and operate on immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-#: Default inclusive guard: probabilities are accepted in [eps, 1 - eps].
+#: Inclusive guard: probabilities are accepted in [DEFAULT_EPS, 1 - DEFAULT_EPS].
 DEFAULT_EPS = 1e-12
 
 #: Association measures with a homogeneity notion used across the package.
 MEASURES = ("rd", "rr", "or")
 
 
-def in_guard(p, eps: float = DEFAULT_EPS):
-    """Whether ``p`` lies in [eps, 1 - eps], the guard on every risk; floats or arrays."""
-    return (p >= eps) & (p <= 1.0 - eps)
+def in_guard(p):
+    """Whether ``p`` lies in the guard [DEFAULT_EPS, 1 - DEFAULT_EPS]; floats or arrays."""
+    return (p >= DEFAULT_EPS) & (p <= 1.0 - DEFAULT_EPS)
 
 
 def logit(p):
@@ -57,26 +57,25 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _check_prob(name: str, value: float, eps: float) -> float:
+def _check_prob(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    if not in_guard(value, eps):
-        raise DomainError(f"{name} must lie in ({0}, {1}) (guard {eps:g}), got {value}")
+    if not in_guard(value):
+        raise DomainError(f"{name} must lie in [{DEFAULT_EPS:g}, 1 - {DEFAULT_EPS:g}], got {value}")
     return value
 
 
 @dataclass(frozen=True)
 class StratumPair:
-    """Baseline and treated risk for one stratum, both strictly in (0, 1)."""
+    """Baseline and treated risk for one stratum, both passing `in_guard`."""
 
     p0: float
     p1: float
-    eps: InitVar[float] = DEFAULT_EPS
 
-    def __post_init__(self, eps: float) -> None:
-        object.__setattr__(self, "p0", _check_prob("p0", self.p0, eps))
-        object.__setattr__(self, "p1", _check_prob("p1", self.p1, eps))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p0", _check_prob("p0", self.p0))
+        object.__setattr__(self, "p1", _check_prob("p1", self.p1))
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,10 @@ class RiskTable:
     p01: float
     p10: float
     p11: float
-    eps: InitVar[float] = DEFAULT_EPS
 
-    def __post_init__(self, eps: float) -> None:
+    def __post_init__(self) -> None:
         for name in ("p00", "p01", "p10", "p11"):
-            object.__setattr__(self, name, _check_prob(name, getattr(self, name), eps))
+            object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
 
     @classmethod
     def from_strata(cls, s0: StratumPair, s1: StratumPair) -> "RiskTable":
@@ -146,14 +144,14 @@ def eta(s: StratumPair) -> float:
     return abs(math.log((1.0 - s.p0) * (s.p1 + 0.5) / ((1.0 - s.p1) * s.p0)))
 
 
-def measure_range(measure: str, p0: float, eps: float = DEFAULT_EPS) -> tuple[float, float]:
+def measure_range(measure: str, p0: float) -> tuple[float, float]:
     """Open interval of values a measure can attain at fixed baseline risk.
 
     At baseline risk ``p0`` the risk difference is confined to
     ``(-p0, 1 - p0)`` and the relative risk to ``(0, 1/p0)``, while the odds
     ratio ranges over all of ``(0, inf)`` regardless of ``p0``.
     """
-    p0 = _check_prob("p0", p0, eps)
+    p0 = _check_prob("p0", p0)
     if measure == "rd":
         return (-p0, 1.0 - p0)
     if measure == "rr":

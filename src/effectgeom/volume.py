@@ -78,15 +78,12 @@ class PriorSpec:
             raise DomainError(f"bounds must have 3 (low, high) pairs, got {len(bounds)}")
         for i, (lo, hi) in enumerate(bounds):
             name = _COORD_NAMES[self.system][i]
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise DomainError(f"bounds for {name} must satisfy low < high, got ({lo}, {hi})")
+            if not (math.isfinite(hi - lo) and lo < hi):
+                raise DomainError(f"bounds for {name} need low < high, high - low finite, "
+                                  f"got ({lo}, {hi})")
             if self.system == "prob" and not (0.0 <= lo and hi <= 1.0):
                 raise DomainError(f"probability bounds for {name} must lie in [0, 1], got ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def coordinate_names(self) -> tuple[str, str, str]:
-        return _COORD_NAMES[self.system]
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ def _chunk_counts(prior: PriorSpec, target: str, index: int, size: int) -> np.nd
     return np.array([count], dtype=np.int64)
 
 
-def estimate(prior: PriorSpec, target: str, workers: int | None = None) -> VolumeEstimate:
+def estimate(prior: PriorSpec, target: str, workers: int = 1) -> VolumeEstimate:
     """Estimate the probability that the target interaction can be zeroed.
 
     Draws ``prior.n_samples`` points uniformly from the box, counts

@@ -58,14 +58,16 @@ class TestErrorContract:
         "argv, env, code",
         [
             (["volume", "--target", "rr", "--n-samples", "10", "--workers", "0"], {}, 3),
-            (["volume", "--target", "rr", "--n-samples", "10"], {"EFFECTGEOM_WORKERS": "abc"}, 2),
+            # under the suite's RuntimeWarning filter an unchecked overflowing
+            # box width would exit 4
+            (["volume", "--system", "rr_op", "--target", "rr", "--n-samples", "10",
+              "--bounds=-1e308:1e308,0:1,0:1"], {"PYTHONWARNINGS": "error::RuntimeWarning"}, 3),
             (["power", *_TABLE, "--n", "10", "--reps", "10", "--seed", "-1"], {}, 3),
             (["power", *_TABLE, "--n", "10", "--reps", "10", "--alpha", "1e-300"], {}, 3),
             (["power", *_TABLE, "--n", "100000000000000000000", "--reps", "10"], {}, 3),
             (["volume", "--config", "{tmp}/missing.cfg"], {}, 2),
             (["volume", "--config", "{tmp}"], {}, 2),
             (["volume", "--config", "{tmp}/latin1.cfg"], {}, 2),
-            (["volume", "--target", "rr", "--n-samples", "10"], {"EFFECTGEOM_WORKERS": "0"}, 2),
         ],
     )
     def test_exit_codes(self, tmp_path, argv, env, code):
@@ -274,18 +276,29 @@ class TestGoldenMatrix:
     The expected values in ``golden_cli.json`` were captured from the CLI as
     it stood before its three per-format writers were merged into one
     renderer.  A change that means to move a byte edits the entry and says
-    why.  Setting ``EFFECTGEOM_WORKERS=2`` runs the multi-chunk cases
-    through the thread pool; the bytes must not change.
+    why.  The ``volume`` and ``power`` cases also run at ``--workers 2``,
+    which takes the multi-chunk cases through the thread pool; the bytes
+    must not change.
     """
 
     GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
+    def check(self, tmp_path, case, fmt, *extra):
+        (tmp_path / "run.cfg").write_text(_GOLDEN_CONFIG)
+        argv = [a.replace("{cfg}", str(tmp_path / "run.cfg")) for a in _GOLDEN_CASES[case]]
+        assert _run_in_process([*argv, *extra, "--format", fmt]) == self.GOLDEN[f"{case}/{fmt}"]
+
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     @pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
     def test_bytes(self, tmp_path, case, fmt):
-        (tmp_path / "run.cfg").write_text(_GOLDEN_CONFIG)
-        argv = [a.replace("{cfg}", str(tmp_path / "run.cfg")) for a in _GOLDEN_CASES[case]]
-        assert _run_in_process([*argv, "--format", fmt]) == self.GOLDEN[f"{case}/{fmt}"]
+        self.check(tmp_path, case, fmt)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize(
+        "case", sorted(c for c in _GOLDEN_CASES if c.startswith(("volume", "power")))
+    )
+    def test_bytes_at_two_workers(self, tmp_path, case, fmt):
+        self.check(tmp_path, case, fmt, "--workers", "2")
 
 
 def _run_in_process(argv):

@@ -25,6 +25,7 @@ from effectgeom import (
     risk_difference,
     RrOpCoords,
 )
+from effectgeom import coords
 from effectgeom.homogeneity import check_compatibility_batch, completion_candidate
 
 from . import oracles
@@ -224,6 +225,36 @@ class TestRrEtaCompatibility:
 
         assert len(solve_stratum_from_rr_eta(point[0], math.exp(point[1]))) == 2
         assert not check_compatibility(CompatibilityQuery("rr_eta", point, "or"))
+
+    def test_rr_verdict_is_both_levels_attainable(self):
+        # the rr kernel tests only the lower of the two levels, since
+        # attainability rises with the level; the verdict must equal testing
+        # each stratum's level, also at theta = 0 and with a level at the floor
+        boxes = [
+            ((-1.5, 1.5), (-1, 1), (-1, 1)),
+            ((-1.5, 0), (-1, 1), (-1, 1)),
+            ((0, 1.5), (-1, 1), (-1, 1)),
+            ((-3, 3), (-2, 2), (-1, 1)),
+            ((-40, 40), (-5, 5), (-5, 5)),
+        ]
+        parts = []
+        for seed, box in enumerate(boxes):
+            lows, highs = np.array(box, dtype=float).T
+            parts.append(lows + np.random.default_rng(seed).random((65536, 3)) * (highs - lows))
+        points = np.concatenate(parts)
+        at_zero = points * [0, 1, 1]
+        variants = [points, at_zero]
+        for base in (np.abs(points), at_zero):
+            log_floor = np.log(coords._eta_floor(base[:, 0]))
+            c0_at_floor = np.column_stack([base[:, 0], log_floor, base[:, 2]])
+            c1_at_floor = np.column_stack([base[:, 0], base[:, 1], log_floor - base[:, 1]])
+            variants += [c0_at_floor, c1_at_floor]
+        pts = np.concatenate(variants)
+        alpha0, e0, e1 = pts.T
+        attainable = coords.eta_attainable_vec
+        both = attainable(alpha0, np.exp(e0)) & attainable(alpha0, np.exp(e0 + e1))
+        assert both.any() and not both.all()
+        assert np.array_equal(check_compatibility_batch("rr_eta", pts, "rr"), both)
 
     def test_scalar_matches_batch(self, rng):
         points = np.column_stack(

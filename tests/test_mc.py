@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from effectgeom import mc
-from effectgeom.errors import ConfigError, DomainError
+from effectgeom.errors import DomainError
 
 
 class TestChunkLayout:
@@ -33,41 +33,16 @@ class TestChunkRng:
         assert np.array_equal(mc.chunk_rng(5, 3).random(8), mc.chunk_rng(5, 3).random(8))
 
 
-class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "7")
-        assert mc.resolve_workers(2) == 2
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "3")
-        assert mc.resolve_workers(None) == 3
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(mc.WORKERS_ENV_VAR, raising=False)
-        assert mc.resolve_workers(None) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            mc.resolve_workers(0)
-
-    def test_env_override_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv(mc.WORKERS_ENV_VAR, "abc")
-        with pytest.raises(ConfigError):
-            mc.resolve_workers(None)
-
-    @pytest.mark.parametrize("env", ["0", "-5"])
-    def test_env_override_below_one_is_an_error(self, monkeypatch, env):
-        monkeypatch.setenv(mc.WORKERS_ENV_VAR, env)
-        with pytest.raises(ConfigError, match=">= 1"):
-            mc.resolve_workers(None)
-
-
 def _toy_task(scale: int, index: int, size: int) -> np.ndarray:
     rng = mc.chunk_rng(0, index)
     return np.array([scale * int(rng.integers(0, 1000)) + size], dtype=np.int64)
 
 
 class TestRunChunked:
+    def test_rejects_workers_below_one(self):
+        with pytest.raises(DomainError, match=">= 1"):
+            mc.run_chunked(_toy_task, (2,), 10, workers=0)
+
     def test_sum_is_worker_independent(self):
         n = 3 * mc.CHUNK_SIZE + 11
         serial = mc.run_chunked(_toy_task, (2,), n, workers=1)

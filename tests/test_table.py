@@ -38,11 +38,8 @@ class TestConstruction:
             with pytest.raises(DomainError):
                 StratumPair(0.5, bad)
 
-    def test_guard_is_configurable(self):
-        p = 1e-9
-        with pytest.raises(DomainError):
-            StratumPair(p, 0.5, eps=1e-6)
-        assert StratumPair(p, 0.5).p0 == p  # default guard 1e-12 admits it
+    def test_guard_is_default_eps(self):
+        assert StratumPair(1e-9, 0.5).p0 == 1e-9  # the guard 1e-12 admits it
 
     def test_relative_risk_boundary_pair_fails_before_evaluation(self):
         # target RR 3 at baseline 0.46 would need treated risk 1.38

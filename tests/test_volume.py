@@ -35,6 +35,8 @@ class TestPriorSpec:
             PriorSpec("prob", 10, 0, bounds=((0.5, 0.5), (0, 1), (0, 1)))
         with pytest.raises(DomainError):
             PriorSpec("prob", 10, 0, bounds=((-0.5, 1.0), (0, 1), (0, 1)))
+        with pytest.raises(DomainError):  # finite ends, but high - low overflows
+            PriorSpec("rr_op", 10, 0, bounds=((-1e308, 1e308), (0, 1), (0, 1)))
         # log-scale boxes may be anywhere
         PriorSpec("rr_op", 10, 0, bounds=((-7, -3), (0, 1), (2, 9)))
 
