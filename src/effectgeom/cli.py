@@ -252,10 +252,10 @@ def cmd_volume(args) -> tuple:
                 "bounds": bounds}
         targets = [t.lower() for t in args.target]
     prior = volume.PriorSpec(**keys)
-    cube = volume.is_unit_cube(prior)
     rows = []
     for target in targets:
         est = volume.estimate(prior, target, workers=args.workers)
+        exact = volume.exact_probability(prior, target)
         rows.append(
             {
                 "system": prior.system,
@@ -265,7 +265,7 @@ def cmd_volume(args) -> tuple:
                 "probability": est.probability,
                 "std_error": est.std_error,
                 "n_compatible": est.n_compatible,
-                "analytic": float(volume.analytic_cube_probability(target)) if cube else None,
+                "analytic": None if exact is None else float(exact),
             }
         )
     lines = [

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .table import (
     DEFAULT_EPS,
     RiskTable,
     StratumPair,
+    check_finite,
     eta,
     expit,
     in_guard,
@@ -59,19 +61,12 @@ SYSTEMS = ("prob", "poisson", "rr_op", "logistic", "rr_eta")
 LOG_1P5 = math.log(1.5)
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 class _FiniteCoords:
     """Base of the coordinate dataclasses: every field is a finite float."""
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            object.__setattr__(self, f.name, _check_finite(f.name, getattr(self, f.name)))
+            object.__setattr__(self, f.name, check_finite(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -207,8 +202,8 @@ def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
     Raises:
         DomainError: if a risk falls outside the inclusive guard.
     """
-    theta = _check_finite("theta", theta)
-    phi = _check_finite("phi", phi)
+    theta = check_finite("theta", theta)
+    phi = check_finite("phi", phi)
     with np.errstate(over="ignore", invalid="ignore"):
         p0, p1 = rr_op_risks_vec(theta, phi)
     return StratumPair(p0, p1)
@@ -376,17 +371,22 @@ def eta_infimum(theta: float) -> float:
     the floor m(r) = log(2 r - 0.5 + sqrt(3 r (r - 1))) for theta > 0
     (attained).
     """
-    theta = _check_finite("theta", theta)
+    theta = check_finite("theta", theta)
     with np.errstate(over="ignore"):
         return float(_eta_floor(np.array([theta]))[0])
 
 
+def _check_level(c: float) -> float:
+    """The contrast level as a float; it must be a real number > 0 (inf allowed)."""
+    if not (isinstance(c, numbers.Real) and c > 0.0):
+        raise DomainError(f"contrast level must be > 0, got {c!r}")
+    return float(c)
+
+
 def eta_attainable(theta: float, c: float) -> bool:
     """Whether some stratum pair has log RR ``theta`` and contrast ``c > 0``."""
-    theta = _check_finite("theta", theta)
-    if not c > 0.0:
-        raise DomainError(f"contrast level must be > 0, got {c!r}")
-    return bool(eta_attainable_vec(np.array([theta]), np.array([float(c)]))[0])
+    theta = check_finite("theta", theta)
+    return bool(eta_attainable_vec(np.array([theta]), np.array([_check_level(c)]))[0])
 
 
 def solve_stratum_from_rr_eta(theta: float, c: float) -> tuple[StratumPair, ...]:
@@ -400,15 +400,12 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> tuple[StratumPair, ...]
     unattainable at that relative risk.
 
     Raises:
-        DomainError: if ``c <= 0`` (a log-scale coordinate never hits 0).
+        DomainError: unless ``c`` is a real number > 0 (log coordinates never hit 0).
     """
-    theta = _check_finite("theta", theta)
-    if not (isinstance(c, (int, float)) and c > 0.0):
-        raise DomainError(f"contrast level must be > 0, got {c!r}")
-    if math.isinf(c):
-        return ()
+    theta = check_finite("theta", theta)
+    c = _check_level(c)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r, plus, minus = _level_roots(np.array([theta]), np.array([float(c)]))
+        r, plus, minus = _level_roots(np.array([theta]), np.array([c]))
         roots = sorted(float(p[0]) for p in (*plus, *minus) if _in_guard(p, r)[0])
     deduped: list[float] = []
     for p in roots:

@@ -52,7 +52,6 @@ witness table can be built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +63,10 @@ from .coords import (
     rr_op_risks_vec,
 )
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
-from .table import MEASURES, _check_prob, expit, in_guard, logit
+from .table import MEASURES, _check_prob, check_finite, expit, in_guard, logit
 
-#: Systems usable as a compatibility-query coordinate prior.
-COMPATIBILITY_SYSTEMS = ("prob", "rr_op", "rr_eta")
-
-#: Interaction targets supported per system ("rd" needs the probability scale).
+#: Systems usable as a compatibility-query coordinate prior, with the
+#: interaction targets each supports ("rd" needs the probability scale).
 SUPPORTED_TARGETS = {
     "prob": ("rd", "rr", "or"),
     "rr_op": ("rr", "or"),
@@ -84,9 +81,9 @@ def check_supported(system: str, target: str) -> None:
         UnsupportedSystemError: if ``system`` is not a compatibility system.
         UnsupportedTargetError: if ``system`` does not support ``target``.
     """
-    if system not in COMPATIBILITY_SYSTEMS:
+    if system not in SUPPORTED_TARGETS:
         raise UnsupportedSystemError(
-            f"system must be one of {COMPATIBILITY_SYSTEMS}, got {system!r}"
+            f"system must be one of {tuple(SUPPORTED_TARGETS)}, got {system!r}"
         )
     if target not in SUPPORTED_TARGETS[system]:
         raise UnsupportedTargetError(
@@ -121,11 +118,9 @@ class CompatibilityQuery:
 
     def __post_init__(self) -> None:
         check_supported(self.system, self.target)
-        point = tuple(float(x) for x in self.point)
+        point = tuple(check_finite("point", x) for x in self.point)
         if len(point) != 3:
             raise DomainError(f"point must have 3 coordinates, got {len(point)}")
-        if not all(math.isfinite(x) for x in point):
-            raise DomainError(f"point must be finite, got {point!r}")
         object.__setattr__(self, "point", point)
 
 

@@ -8,9 +8,10 @@ aggregation is a sum of per-chunk integer counts.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,13 +24,23 @@ CHUNK_SIZE = 65536
 #: temporaries; results do not depend on it.
 BLOCK_SIZE = 4096
 
+#: Largest sample or replicate count: 65536 chunks, about 110 MB of bookkeeping.
+MAX_COUNT = 2**32
+
+
+def check_int(name: str, value, low: int, high: int) -> int:
+    """``value`` as an int; it must be an integer-valued real in [low, high]."""
+    try:  # int() rejects NaN and inf; ints of any size compare exactly
+        if isinstance(value, numbers.Real) and value == int(value) and low <= value <= high:
+            return int(value)
+    except (ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
 
 def check_seed(seed) -> int:
     """The seed as an int; it must be an unsigned 64-bit integer."""
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    return check_int("seed", seed, 0, 2**64 - 1)
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -39,15 +50,7 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def chunk_layout(n: int) -> list[tuple[int, int]]:
     """(index, size) pairs covering [0, n)."""
-    out = []
-    index = 0
-    remaining = int(n)
-    while remaining > 0:
-        size = min(CHUNK_SIZE, remaining)
-        out.append((index, size))
-        index += 1
-        remaining -= size
-    return out
+    return [(i, min(CHUNK_SIZE, n - start)) for i, start in enumerate(range(0, n, CHUNK_SIZE))]
 
 
 def run_chunked(
@@ -61,7 +64,8 @@ def run_chunked(
     ``task`` must return an integer ndarray of fixed shape; the sum is
     order-independent, so any worker count yields identical totals.  The
     chunks run on a thread pool with no more threads than chunks or CPUs,
-    and an exception a task raises reaches the caller unchanged.
+    and an exception a task raises, or an interrupt, reaches the caller
+    unchanged once the running chunks finish; queued chunks are cancelled.
 
     Raises:
         DomainError: if ``workers`` is below 1.
@@ -74,6 +78,5 @@ def run_chunked(
         parts = [task(*args, index, size) for index, size in layout]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task, *args, index, size) for index, size in layout]
-            parts = [f.result() for f in futures]
+            parts = list(pool.map(lambda chunk: task(*args, *chunk), layout))
     return np.sum(np.stack(parts), axis=0)

@@ -34,6 +34,8 @@ SCALES = ("identity", "log", "logit")
 
 _CELLS = ("00", "01", "10", "11")  # (v, a) order used for all 4-vectors
 
+_MAX_CELL = 2**63 - 1  # numpy draws binomial cells as int64
+
 
 @dataclass(frozen=True)
 class StudyDesign:
@@ -46,10 +48,7 @@ class StudyDesign:
 
     def __post_init__(self) -> None:
         for name in ("n00", "n01", "n10", "n11"):
-            value = getattr(self, name)
-            if int(value) != value or not (1 <= int(value) < 2**63):
-                raise DomainError(f"{name} must be an integer in [1, 2**63), got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, mc.check_int(name, getattr(self, name), 1, _MAX_CELL))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n00, self.n01, self.n10, self.n11)
@@ -73,13 +72,10 @@ class CellCounts:
 
     def __post_init__(self) -> None:
         for cell in _CELLS:
-            e, n = getattr(self, f"e{cell}"), getattr(self, f"n{cell}")
-            if int(n) != n or int(n) < 1:
-                raise DomainError(f"n{cell} must be a positive integer, got {n!r}")
-            if int(e) != e or not (0 <= int(e) <= int(n)):
-                raise DomainError(f"e{cell} must be an integer in [0, n{cell}], got {e!r}")
-            object.__setattr__(self, f"e{cell}", int(e))
-            object.__setattr__(self, f"n{cell}", int(n))
+            n = mc.check_int(f"n{cell}", getattr(self, f"n{cell}"), 1, _MAX_CELL)
+            e = mc.check_int(f"e{cell}", getattr(self, f"e{cell}"), 0, n)
+            object.__setattr__(self, f"n{cell}", n)
+            object.__setattr__(self, f"e{cell}", e)
 
     def events(self) -> tuple[int, int, int, int]:
         return (self.e00, self.e01, self.e10, self.e11)
@@ -212,9 +208,7 @@ def simulate_power(
     # below about 1.1e-16, 1 - alpha/2 rounds to 1, which has no normal quantile
     if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
         raise DomainError(f"alpha must be in (0, 1) with 1 - alpha/2 < 1 in floats, got {alpha}")
-    if int(reps) < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
-    reps = int(reps)
+    reps = mc.check_int("reps", reps, 1, mc.MAX_COUNT)
     seed = mc.check_seed(seed)
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     truth_cells = (truth.p00, truth.p01, truth.p10, truth.p11)

@@ -57,10 +57,16 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _check_prob(name: str, value: float) -> float:
+def check_finite(name: str, value: float) -> float:
+    """``value`` as a float; it must be finite."""
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_prob(name: str, value: float) -> float:
+    value = check_finite(name, value)
     if not in_guard(value):
         raise DomainError(f"{name} must lie in [{DEFAULT_EPS:g}, 1 - {DEFAULT_EPS:g}], got {value}")
     return value

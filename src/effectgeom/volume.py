@@ -8,7 +8,7 @@ target, and reports the fraction of compatible draws with its binomial
 standard error.
 
 Under the probability-scale unit cube the three probabilities also have
-closed forms, exposed by `analytic_cube_probability`:
+closed forms, returned by `exact_probability` (None on every other box):
 
     rd  ->  2/3        P(0 < p10 + p01 - p00 < 1) = 1 - 1/6 - 1/6
     rr  ->  3/4        P(p10 p01 < p00)           = 1 - E[p10 p01]
@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mc
-from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
+from .errors import DomainError, UnsupportedSystemError
 from .homogeneity import check_compatibility_batch, check_supported
 
 #: Default coordinate boxes.  The probability scale uses the unit cube; the
@@ -50,6 +50,9 @@ _COORD_NAMES = {
     "rr_op": ("alpha0", "gamma0", "gamma1"),
     "rr_eta": ("alpha0", "e0", "e1"),
 }
+
+#: Exact compatibility probabilities under the unit-cube probability prior.
+_CUBE_PROBABILITY = {"rd": Fraction(2, 3), "rr": Fraction(3, 4), "or": Fraction(1)}
 
 Bounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -68,9 +71,8 @@ class PriorSpec:
             raise UnsupportedSystemError(
                 f"system must be one of {tuple(DEFAULT_BOUNDS)}, got {self.system!r}"
             )
-        if int(self.n_samples) < 1:
-            raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
+        n_samples = mc.check_int("n_samples", self.n_samples, 1, mc.MAX_COUNT)
+        object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "seed", mc.check_seed(self.seed))
         bounds = self.bounds if self.bounds is not None else DEFAULT_BOUNDS[self.system]
         bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -125,17 +127,13 @@ def estimate(prior: PriorSpec, target: str, workers: int = 1) -> VolumeEstimate:
     return VolumeEstimate(probability=p, std_error=se, n_samples=n, n_compatible=n_compatible)
 
 
-def analytic_cube_probability(target: str) -> Fraction:
-    """Exact compatibility probability under the unit-cube probability prior."""
-    if target == "rd":
-        return Fraction(2, 3)
-    if target == "rr":
-        return Fraction(3, 4)
-    if target == "or":
-        return Fraction(1, 1)
-    raise UnsupportedTargetError(f"target must be one of ('rd', 'rr', 'or'), got {target!r}")
+def exact_probability(prior: PriorSpec, target: str) -> Fraction | None:
+    """Exact compatibility probability of ``target`` under ``prior``; None where unknown.
 
-
-def is_unit_cube(prior: PriorSpec) -> bool:
-    """Whether the prior is the probability-scale unit cube (analytic case)."""
-    return prior.system == "prob" and all(b == (0.0, 1.0) for b in prior.bounds)
+    Known on the unit-cube probability prior only.  Raises `UnsupportedTargetError`,
+    through `check_supported`, for a target the system does not support.
+    """
+    check_supported(prior.system, target)
+    if prior.system == "prob" and prior.bounds == DEFAULT_BOUNDS["prob"]:
+        return _CUBE_PROBABILITY[target]
+    return None

@@ -26,9 +26,9 @@ from effectgeom import (
     PriorSpec,
     RiskTable,
     StudyDesign,
-    analytic_cube_probability,
     check_compatibility,
     estimate,
+    exact_probability,
     from_logistic,
     from_poisson,
     from_rr_eta,
@@ -102,7 +102,8 @@ def test_criterion_04_analytic_values(cube_runs):
     from fractions import Fraction
 
     exact = {"rr": Fraction(3, 4), "rd": Fraction(2, 3), "or": Fraction(1, 1)}
-    ok = all(analytic_cube_probability(t) == exact[t] for t in exact)
+    cube = PriorSpec("prob", n_samples=1, seed=CUBE_SEED)
+    ok = all(exact_probability(cube, t) == exact[t] for t in exact)
     for target, frac in exact.items():
         est = runs[target]
         ok = ok and abs(est.probability - float(frac)) <= 4.0 * est.std_error

@@ -68,6 +68,9 @@ class TestErrorContract:
             (["volume", "--config", "{tmp}/missing.cfg"], {}, 2),
             (["volume", "--config", "{tmp}"], {}, 2),
             (["volume", "--config", "{tmp}/latin1.cfg"], {}, 2),
+            # counts above mc.MAX_COUNT are refused before any chunk is laid out
+            (["volume", "--target", "rr", "--n-samples", "100000000000000000000"], {}, 3),
+            (["power", *_TABLE, "--n", "10", "--reps", "100000000000000000000"], {}, 3),
         ],
     )
     def test_exit_codes(self, tmp_path, argv, env, code):

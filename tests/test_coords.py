@@ -248,6 +248,15 @@ class TestEtaSolver:
             solve_stratum_from_rr_eta(math.log(3 / 4), 0.0)
         with pytest.raises(DomainError):
             solve_stratum_from_rr_eta(0.0, -1.0)
+        for check in (solve_stratum_from_rr_eta, eta_attainable):
+            with pytest.raises(DomainError):
+                check(0.5, "2")
+
+    @pytest.mark.parametrize("level", [np.float32(2.0), np.int64(2)])
+    def test_numpy_levels_answer_as_floats(self, level):
+        for theta in (-0.5, 0.5, math.log(2.0)):
+            assert solve_stratum_from_rr_eta(theta, level) == solve_stratum_from_rr_eta(theta, 2.0)
+            assert eta_attainable(theta, level) == eta_attainable(theta, 2.0)
 
     def test_symmetric_point(self):
         sols = solve_stratum_from_rr_eta(0.0, math.log(2.0))

@@ -1,5 +1,5 @@
 import threading
-from concurrent.futures import Future
+import time
 
 import numpy as np
 import pytest
@@ -65,10 +65,8 @@ class TestRunChunked:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
@@ -93,3 +91,20 @@ class TestRunChunked:
         with pytest.raises(DomainError, match="chunk 1") as info:
             mc.run_chunked(task, (), 3 * mc.CHUNK_SIZE, workers=2)
         assert info.value is raised[0]
+
+    def test_a_raising_chunk_cancels_the_queued_ones(self, monkeypatch):
+        # chunk 0 raises at once; without cancellation both threads would
+        # work through all 64 chunks before the error reached the caller
+        ran = []
+
+        def task(index, size):
+            ran.append(index)
+            if index == 0:
+                raise DomainError("chunk 0")
+            time.sleep(0.01)
+            return np.array([size], dtype=np.int64)
+
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        with pytest.raises(DomainError, match="chunk 0"):
+            mc.run_chunked(task, (), 64 * mc.CHUNK_SIZE, workers=2)
+        assert len(ran) < 64

@@ -31,6 +31,9 @@ class TestTypes:
             StudyDesign(0, 10, 10, 10)
         with pytest.raises(DomainError):
             StudyDesign(10, 10, 10, 10.5)
+        for bad in (math.nan, math.inf, 2.5, "7", 2**63):
+            with pytest.raises(DomainError):
+                StudyDesign(10, 10, 10, bad)
         assert StudyDesign(100, 200, 300, 400).pattern() == "100/200/300/400"
 
     def test_counts_validation(self):
@@ -38,6 +41,11 @@ class TestTypes:
             CellCounts(11, 5, 5, 5, 10, 10, 10, 10)
         with pytest.raises(DomainError):
             CellCounts(-1, 5, 5, 5, 10, 10, 10, 10)
+        for bad in (math.nan, math.inf, 2.5, "7", 2**70):
+            with pytest.raises(DomainError):
+                CellCounts(5, 5, 5, 5, bad, 10, 10, 10)
+            with pytest.raises(DomainError):
+                CellCounts(5, 5, 5, bad, 10, 10, 10, 10)
         c = CellCounts(3, 4, 5, 6, 10, 10, 10, 10)
         assert c.events() == (3, 4, 5, 6)
         assert c.totals() == (10, 10, 10, 10)
@@ -122,6 +130,12 @@ class TestSimulatePower:
             simulate_power(truth, design, alpha=0.0, reps=10, seed=0)
         with pytest.raises(DomainError):
             simulate_power(truth, design, alpha=0.05, reps=0, seed=0)
+        for bad in (math.nan, math.inf, 2.5, "7", mc.MAX_COUNT + 1):
+            with pytest.raises(DomainError):
+                simulate_power(truth, design, alpha=0.05, reps=bad, seed=0)
+        for bad in (math.nan, math.inf, 2.7, "7", 10**399):
+            with pytest.raises(DomainError):
+                simulate_power(truth, design, alpha=0.05, reps=10, seed=bad)
 
     def test_single_rep_rates_are_zero_or_one(self):
         truth = RiskTable(0.5, 0.5, 0.5, 0.5)

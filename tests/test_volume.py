@@ -9,9 +9,8 @@ from effectgeom import (
     PriorSpec,
     UnsupportedSystemError,
     UnsupportedTargetError,
-    analytic_cube_probability,
     estimate,
-    is_unit_cube,
+    exact_probability,
     mc,
     volume,
 )
@@ -37,6 +36,14 @@ class TestPriorSpec:
             PriorSpec("prob", 10, 0, bounds=((-0.5, 1.0), (0, 1), (0, 1)))
         with pytest.raises(DomainError):  # finite ends, but high - low overflows
             PriorSpec("rr_op", 10, 0, bounds=((-1e308, 1e308), (0, 1), (0, 1)))
+        # counts and seeds are integer-valued reals in range, never truncated
+        for bad in (math.nan, math.inf, 2.5, "7", mc.MAX_COUNT + 1):
+            with pytest.raises(DomainError):
+                PriorSpec("prob", bad, 0)
+        for bad in (math.nan, math.inf, 2.7, "7", 10**399, 2**64):
+            with pytest.raises(DomainError):
+                PriorSpec("prob", 10, bad)
+        assert PriorSpec("prob", mc.MAX_COUNT, 2**64 - 1).n_samples == 2**32
         # log-scale boxes may be anywhere
         PriorSpec("rr_op", 10, 0, bounds=((-7, -3), (0, 1), (2, 9)))
 
@@ -47,16 +54,22 @@ class TestPriorSpec:
 
 class TestAnalytic:
     def test_exact_rationals(self):
-        assert analytic_cube_probability("rr") == Fraction(3, 4)
-        assert analytic_cube_probability("rd") == Fraction(2, 3)
-        assert analytic_cube_probability("or") == Fraction(1, 1)
+        cube = PriorSpec("prob", 10, 0)
+        assert exact_probability(cube, "rr") == Fraction(3, 4)
+        assert exact_probability(cube, "rd") == Fraction(2, 3)
+        assert exact_probability(cube, "or") == Fraction(1, 1)
         with pytest.raises(UnsupportedTargetError):
-            analytic_cube_probability("op")
+            exact_probability(cube, "op")
+        with pytest.raises(UnsupportedTargetError):
+            exact_probability(PriorSpec("rr_op", 10, 0), "rd")
 
-    def test_is_unit_cube(self):
-        assert is_unit_cube(PriorSpec("prob", 10, 0))
-        assert not is_unit_cube(PriorSpec("prob", 10, 0, bounds=((0, 0.5), (0, 1), (0, 1))))
-        assert not is_unit_cube(PriorSpec("rr_op", 10, 0))
+    def test_exact_only_on_the_unit_cube(self):
+        assert exact_probability(PriorSpec("prob", 10, 0, bounds=((0, 1),) * 3), "rr") is not None
+        sub_box = PriorSpec("prob", 10, 0, bounds=((0, 0.5), (0, 1), (0, 1)))
+        for target in ("rd", "rr", "or"):
+            assert exact_probability(sub_box, target) is None
+        for target in ("rr", "or"):
+            assert exact_probability(PriorSpec("rr_op", 10, 0), target) is None
 
 
 class TestCubeEstimates:
@@ -64,7 +77,7 @@ class TestCubeEstimates:
     def test_matches_analytic_within_4_se(self, target):
         prior = PriorSpec("prob", n_samples=200_000, seed=2024)
         est = estimate(prior, target)
-        exact = float(analytic_cube_probability(target))
+        exact = float(exact_probability(prior, target))
         tol = max(4.0 * est.std_error, 1e-12)
         assert abs(est.probability - exact) <= tol
         assert est.n_compatible == round(est.probability * est.n_samples)
