@@ -11,7 +11,8 @@ Subcommands::
 Output formats: ``plain`` (6 significant digits), ``csv`` and ``json`` (full
 float precision).  Exit codes: 0 success, 2 usage or configuration error
 (including an unreadable ``--config`` file), 3 domain error (including a
-``--workers`` below 1), 4 internal failure.  No user input exits 4.
+``--workers`` below 1), 4 internal failure, 130 interrupted by Ctrl-C (one
+line on stderr, no traceback).  No user input exits 4.
 """
 
 from __future__ import annotations
@@ -435,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except EffectGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4

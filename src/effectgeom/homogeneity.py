@@ -52,6 +52,7 @@ witness table can be built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,9 +209,18 @@ _BATCH = {"prob": _prob_batch, "rr_op": _rr_op_batch, "rr_eta": _rr_eta_batch}
 
 
 def check_compatibility_batch(system: str, points: np.ndarray, target: str) -> np.ndarray:
-    """Vectorized compatibility verdicts for an (n, 3) array of points."""
+    """Vectorized compatibility verdicts for an (n, 3) array of real numbers.
+
+    Any memory order is accepted: the points are held column-major, copied
+    only if they are not already, so each kernel reads contiguous columns.
+    The verdicts do not depend on the layout.
+    """
     check_supported(system, target)
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points, order="F")
+    if not (points.dtype.kind in "biuf" or (
+            points.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in points.flat))):
+        raise DomainError(f"points must be real numbers, got dtype {points.dtype}")
+    points = points.astype(float, order="F", copy=False)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DomainError(f"points must have shape (n, 3), got {points.shape}")
     return _BATCH[system](points, target)

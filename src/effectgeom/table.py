@@ -25,6 +25,7 @@ All functions here are pure and operate on immutable values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,14 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def check_finite(name: str, value: float) -> float:
-    """``value`` as a float; it must be finite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+def check_finite(name: str, value) -> float:
+    """``value`` as a float; it must be a finite real number."""
+    try:  # an int past the float range overflows
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _check_prob(name: str, value: float) -> float:

@@ -36,6 +36,7 @@ import numpy as np
 from . import mc
 from .errors import DomainError, UnsupportedSystemError
 from .homogeneity import check_compatibility_batch, check_supported
+from .table import check_finite
 
 #: Default coordinate boxes.  The probability scale uses the unit cube; the
 #: log-scale systems use moderate symmetric ranges around no effect.
@@ -75,11 +76,16 @@ class PriorSpec:
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "seed", mc.check_seed(self.seed))
         bounds = self.bounds if self.bounds is not None else DEFAULT_BOUNDS[self.system]
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        try:  # each entry must unpack into exactly (low, high)
+            bounds = [(lo, hi) for lo, hi in bounds]
+        except (TypeError, ValueError):
+            bounds = []
         if len(bounds) != 3:
-            raise DomainError(f"bounds must have 3 (low, high) pairs, got {len(bounds)}")
-        for i, (lo, hi) in enumerate(bounds):
-            name = _COORD_NAMES[self.system][i]
+            raise DomainError(f"bounds must be 3 (low, high) pairs, got {self.bounds!r}")
+        names = _COORD_NAMES[self.system]
+        bounds = tuple((check_finite(f"bounds for {n}", lo), check_finite(f"bounds for {n}", hi))
+                       for n, (lo, hi) in zip(names, bounds))
+        for name, (lo, hi) in zip(names, bounds):
             if not (math.isfinite(hi - lo) and lo < hi):
                 raise DomainError(f"bounds for {name} need low < high, high - low finite, "
                                   f"got ({lo}, {hi})")
@@ -105,8 +111,11 @@ def _chunk_counts(prior: PriorSpec, target: str, index: int, size: int) -> np.nd
     widths = np.array([b[1] for b in prior.bounds]) - lows
     count = 0
     for start in range(0, size, mc.BLOCK_SIZE):
-        u = rng.random((min(mc.BLOCK_SIZE, size - start), 3))
-        count += int(check_compatibility_batch(prior.system, lows + u * widths, target).sum())
+        # one column-major copy, scaled in place: the kernels read unit-stride columns
+        points = np.asfortranarray(rng.random((min(mc.BLOCK_SIZE, size - start), 3)))
+        points *= widths
+        points += lows
+        count += int(check_compatibility_batch(prior.system, points, target).sum())
     return np.array([count], dtype=np.int64)
 
 

@@ -47,6 +47,14 @@ class TestExitCodes:
     def test_success_is_0(self):
         assert run("feasible", "--p00", ".5", "--p10", ".5", "--p01", ".5", "--measure", "rr").returncode == 0
 
+    def test_interrupt_is_130_with_one_line(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_measures", interrupted)
+        assert _run_in_process(["measures", *_TABLE]) == {
+            "code": 130, "stdout": "", "stderr": "interrupted\n"}
+
 
 _TABLE = ["--p00", ".2", "--p01", ".5", "--p10", ".4", "--p11", ".7"]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from effectgeom import (
+    DEFAULT_BOUNDS,
     DEFAULT_EPS,
     CompatibilityQuery,
     DomainError,
@@ -26,7 +28,11 @@ from effectgeom import (
     RrOpCoords,
 )
 from effectgeom import coords
-from effectgeom.homogeneity import check_compatibility_batch, completion_candidate
+from effectgeom.homogeneity import (
+    SUPPORTED_TARGETS,
+    check_compatibility_batch,
+    completion_candidate,
+)
 
 from . import oracles
 from .conftest import probs
@@ -118,6 +124,17 @@ class TestCompatibilityValidation:
             "target 'rd' not supported for system 'rr_op'; supported: ('rr', 'or')"
         )
 
+    @pytest.mark.parametrize("points", [
+        [["0.5", 0.5, 0.5]], [[None, 0.5, 0.5]], [[0.5j, 0.5, 0.5]],
+    ], ids=["string", "none", "complex"])
+    def test_batch_rejects_non_real_points(self, points):
+        with pytest.raises(DomainError, match="points must be real numbers"):
+            check_compatibility_batch("prob", points, "rd")
+
+    def test_batch_takes_any_real_number_type(self):
+        exact = [[Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 0.5, True]]
+        assert check_compatibility_batch("prob", exact, "rr").tolist() == [True, False]
+
     def test_unknown_system(self):
         with pytest.raises(UnsupportedSystemError):
             CompatibilityQuery("poisson", (0.1, 0.2, 0.3), "rr")
@@ -127,6 +144,33 @@ class TestCompatibilityValidation:
             CompatibilityQuery("rr_op", (0.0, 0.0, 0.0), "rd")
         with pytest.raises(UnsupportedTargetError):
             CompatibilityQuery("rr_eta", (0.0, 0.0, 0.0), "rd")
+
+
+class TestMemoryLayout:
+    """The batch verdicts do not depend on how the points are laid out in memory."""
+
+    @pytest.mark.parametrize(
+        "system, target", [(s, t) for s, targets in SUPPORTED_TARGETS.items() for t in targets]
+    )
+    def test_same_verdicts_in_every_layout(self, system, target, rng):
+        # the guard edges as coordinates, and as baseline risks on the log scales
+        edges = (0.0, DEFAULT_EPS, 0.3, 1.0 - DEFAULT_EPS, 1.0)
+        if system != "prob":
+            edges += (math.log(DEFAULT_EPS), -1.0, -math.log(DEFAULT_EPS))
+        lows, highs = np.array(DEFAULT_BOUNDS[system]).T
+        points = np.vstack([
+            list(itertools.product(edges, repeat=3)),
+            lows + rng.random((300, 3)) * (highs - lows),
+        ])
+        wide = np.zeros((2 * len(points), 3))
+        wide[::2] = points
+        layouts = {"C": points, "F": np.asfortranarray(points), "every-other-row": wide[::2]}
+        assert points.flags.c_contiguous and not layouts["F"].flags.c_contiguous
+        assert not (wide[::2].flags.c_contiguous or wide[::2].flags.f_contiguous)
+        scalar = [check_compatibility(CompatibilityQuery(system, tuple(p), target)) for p in points]
+        assert any(scalar) and not all(scalar)
+        for name, layout in layouts.items():
+            assert check_compatibility_batch(system, layout, target).tolist() == scalar, name
 
 
 class TestProbCompatibility:

@@ -38,6 +38,11 @@ class TestConstruction:
             with pytest.raises(DomainError):
                 StratumPair(0.5, bad)
 
+    @pytest.mark.parametrize("bad", ["0.5", "x", None], ids=["numeric-string", "string", "none"])
+    def test_rejects_non_real(self, bad):
+        with pytest.raises(DomainError, match="must be a finite real number"):
+            RiskTable(bad, 0.5, 0.5, 0.5)
+
     def test_guard_is_default_eps(self):
         assert StratumPair(1e-9, 0.5).p0 == 1e-9  # the guard 1e-12 admits it
 

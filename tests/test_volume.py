@@ -47,6 +47,15 @@ class TestPriorSpec:
         # log-scale boxes may be anywhere
         PriorSpec("rr_op", 10, 0, bounds=((-7, -3), (0, 1), (2, 9)))
 
+    @pytest.mark.parametrize("bounds", [
+        (("x", 1), (0, 1), (0, 1)),
+        (1, 2, 3),
+        ((0, 1, 2), (0, 1), (0, 1)),
+    ], ids=["string-low", "not-pairs", "triple"])
+    def test_malformed_bounds(self, bounds):
+        with pytest.raises(DomainError, match="bounds"):
+            PriorSpec("prob", 10, 0, bounds=bounds)
+
     def test_unsupported_target(self):
         with pytest.raises(UnsupportedTargetError):
             estimate(PriorSpec("rr_op", 10, 0), "rd")
