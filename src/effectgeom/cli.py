@@ -29,6 +29,7 @@ from . import coords as coords_mod
 from . import power, table, volume
 from .errors import ConfigError, EffectGeomError
 from .homogeneity import (
+    COMPAT_SYSTEMS,
     HomogeneityQuery,
     complete_table,
     completion_candidate,
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="Monte Carlo compatibility probability")
     p.add_argument("--config", help="path to a prior configuration document")
-    p.add_argument("--system", choices=tuple(volume.DEFAULT_BOUNDS), default="prob")
+    p.add_argument("--system", choices=tuple(COMPAT_SYSTEMS), default="prob")
     p.add_argument("--target", action="append", choices=MEASURES, help="repeatable")
     p.add_argument("--n-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -55,7 +55,7 @@ from .table import (
     relative_risk,
 )
 
-#: Coordinate-system identifiers accepted by the CLI and the prior machinery.
+#: Systems of the ``convert`` command; those of compatibility are `homogeneity.COMPAT_SYSTEMS`.
 SYSTEMS = ("prob", "poisson", "rr_op", "logistic", "rr_eta")
 
 LOG_1P5 = math.log(1.5)
@@ -380,7 +380,10 @@ def _check_level(c: float) -> float:
     """The contrast level as a float; it must be a real number > 0 (inf allowed)."""
     if not (isinstance(c, numbers.Real) and c > 0.0):
         raise DomainError(f"contrast level must be > 0, got {c!r}")
-    return float(c)
+    try:
+        return float(c)
+    except OverflowError:  # a real past the float range exceeds every float
+        return math.inf
 
 
 def eta_attainable(theta: float, c: float) -> bool:

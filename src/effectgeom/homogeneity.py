@@ -52,8 +52,8 @@ witness table can be built.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,32 +65,6 @@ from .coords import (
 )
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
 from .table import MEASURES, _check_prob, check_finite, expit, in_guard, logit
-
-#: Systems usable as a compatibility-query coordinate prior, with the
-#: interaction targets each supports ("rd" needs the probability scale).
-SUPPORTED_TARGETS = {
-    "prob": ("rd", "rr", "or"),
-    "rr_op": ("rr", "or"),
-    "rr_eta": ("rr", "or"),
-}
-
-
-def check_supported(system: str, target: str) -> None:
-    """Raise unless ``target`` is an interaction target supported under ``system``.
-
-    Raises:
-        UnsupportedSystemError: if ``system`` is not a compatibility system.
-        UnsupportedTargetError: if ``system`` does not support ``target``.
-    """
-    if system not in SUPPORTED_TARGETS:
-        raise UnsupportedSystemError(
-            f"system must be one of {tuple(SUPPORTED_TARGETS)}, got {system!r}"
-        )
-    if target not in SUPPORTED_TARGETS[system]:
-        raise UnsupportedTargetError(
-            f"target {target!r} not supported for system {system!r}; "
-            f"supported: {SUPPORTED_TARGETS[system]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -119,10 +93,7 @@ class CompatibilityQuery:
 
     def __post_init__(self) -> None:
         check_supported(self.system, self.target)
-        point = tuple(check_finite("point", x) for x in self.point)
-        if len(point) != 3:
-            raise DomainError(f"point must have 3 coordinates, got {len(point)}")
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", tuple(check_points([self.point])[0].tolist()))
 
 
 def _completion(measure: str, p00, p10, p01):
@@ -205,25 +176,73 @@ def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:
         return best < c1 - LOG_1P5
 
 
-_BATCH = {"prob": _prob_batch, "rr_op": _rr_op_batch, "rr_eta": _rr_eta_batch}
+class CompatSystem(NamedTuple):
+    """A compatibility system: its point's coordinates, default box, targets and predicate."""
+
+    coords: tuple[str, str, str]
+    bounds: tuple[tuple[float, float], ...]
+    targets: tuple[str, ...]
+    batch: Callable[[np.ndarray, str], np.ndarray]
 
 
-def check_compatibility_batch(system: str, points: np.ndarray, target: str) -> np.ndarray:
-    """Vectorized compatibility verdicts for an (n, 3) array of real numbers.
+#: The systems a compatibility query or prior may use; "rd" needs the probability scale.
+COMPAT_SYSTEMS = {
+    "prob": CompatSystem(("p00", "p10", "p01"), ((0.0, 1.0),) * 3, ("rd", "rr", "or"), _prob_batch),
+    "rr_op": CompatSystem(("alpha0", "gamma0", "gamma1"), ((-2.0, 2.0),) * 3, ("rr", "or"),
+                          _rr_op_batch),
+    "rr_eta": CompatSystem(("alpha0", "e0", "e1"), ((-1.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)),
+                           ("rr", "or"), _rr_eta_batch),
+}
 
-    Any memory order is accepted: the points are held column-major, copied
-    only if they are not already, so each kernel reads contiguous columns.
-    The verdicts do not depend on the layout.
+
+def check_system(system: str) -> CompatSystem:
+    """The record of ``system``; raises `UnsupportedSystemError` unless it is a key."""
+    if not (isinstance(system, str) and system in COMPAT_SYSTEMS):  # a list is not hashable
+        raise UnsupportedSystemError(
+            f"system must be one of {tuple(COMPAT_SYSTEMS)}, got {system!r}"
+        )
+    return COMPAT_SYSTEMS[system]
+
+
+def check_supported(system: str, target: str) -> CompatSystem:
+    """`check_system`'s record; raises `UnsupportedTargetError` unless it lists ``target``."""
+    record = check_system(system)
+    if target not in record.targets:
+        raise UnsupportedTargetError(
+            f"target {target!r} not supported for system {system!r}; supported: {record.targets}"
+        )
+    return record
+
+
+def check_points(points) -> np.ndarray:
+    """``points`` as a column-major (n, 3) float array whose every entry passes `check_finite`.
+
+    A numeric array is tested at once; an object array entry by entry, so
+    that Fractions pass and an int past the float range does not.
     """
-    check_supported(system, target)
-    points = np.asarray(points, order="F")
-    if not (points.dtype.kind in "biuf" or (
-            points.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in points.flat))):
-        raise DomainError(f"points must be real numbers, got dtype {points.dtype}")
-    points = points.astype(float, order="F", copy=False)
+    try:  # numpy refuses a ragged list with a ValueError, as check_finite does a bad entry
+        points = np.asarray(points)
+        if points.dtype.kind == "O":
+            points = np.array([check_finite("point", x) for x in points.flat]).reshape(points.shape)
+        if points.dtype.kind in "biuf":  # tested as floats, so a longdouble past their range fails
+            points = points.astype(float, order="F", copy=False)
+        finite = points.dtype == np.float64 and np.isfinite(points).all()
+    except ValueError:
+        finite = False
+    if not finite:
+        raise DomainError("points must be real numbers, all finite")
     if points.ndim != 2 or points.shape[1] != 3:
         raise DomainError(f"points must have shape (n, 3), got {points.shape}")
-    return _BATCH[system](points, target)
+    return points
+
+
+def check_compatibility_batch(system: str, points, target: str) -> np.ndarray:
+    """Vectorized compatibility verdicts for points that pass `check_points`.
+
+    That is `CompatibilityQuery`'s point rule too: 3 finite reals per point, else
+    `DomainError`.  Kernels read the column-major copy; any layout gives the same verdicts.
+    """
+    return check_supported(system, target).batch(check_points(points), target)
 
 
 def check_compatibility(q: CompatibilityQuery) -> bool:

@@ -68,12 +68,10 @@ def run_chunked(
     unchanged once the running chunks finish; queued chunks are cancelled.
 
     Raises:
-        DomainError: if ``workers`` is below 1.
+        DomainError: unless ``workers`` passes `check_int` in [1, MAX_COUNT].
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     layout = chunk_layout(n)
-    workers = min(workers, len(layout), os.cpu_count() or 1)
+    workers = min(check_int("workers", workers, 1, MAX_COUNT), len(layout), os.cpu_count() or 1)
     if workers == 1:
         parts = [task(*args, index, size) for index, size in layout]
     else:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mc
 from .errors import DegenerateCountsError, DomainError
-from .table import RiskTable, logit
+from .table import RiskTable, check_finite, logit
 
 #: Test scales, in reporting order.
 SCALES = ("identity", "log", "logit")
@@ -204,7 +204,7 @@ def simulate_power(
     degenerate count is reported per scale.  Reproducible given the seed,
     for any worker count.
     """
-    alpha = float(alpha)
+    alpha = check_finite("alpha", alpha)
     # below about 1.1e-16, 1 - alpha/2 rounds to 1, which has no normal quantile
     if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
         raise DomainError(f"alpha must be in (0, 1) with 1 - alpha/2 < 1 in floats, got {alpha}")

@@ -34,23 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import mc
-from .errors import DomainError, UnsupportedSystemError
-from .homogeneity import check_compatibility_batch, check_supported
+from .errors import DomainError
+from .homogeneity import COMPAT_SYSTEMS, check_compatibility_batch, check_supported, check_system
 from .table import check_finite
 
-#: Default coordinate boxes.  The probability scale uses the unit cube; the
-#: log-scale systems use moderate symmetric ranges around no effect.
-DEFAULT_BOUNDS = {
-    "prob": ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
-    "rr_op": ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
-    "rr_eta": ((-1.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)),
-}
-
-_COORD_NAMES = {
-    "prob": ("p00", "p10", "p01"),
-    "rr_op": ("alpha0", "gamma0", "gamma1"),
-    "rr_eta": ("alpha0", "e0", "e1"),
-}
+#: Default coordinate boxes, from `homogeneity.COMPAT_SYSTEMS`.
+DEFAULT_BOUNDS = {name: system.bounds for name, system in COMPAT_SYSTEMS.items()}
 
 #: Exact compatibility probabilities under the unit-cube probability prior.
 _CUBE_PROBABILITY = {"rd": Fraction(2, 3), "rr": Fraction(3, 4), "or": Fraction(1)}
@@ -68,24 +57,20 @@ class PriorSpec:
     bounds: Bounds | None = None
 
     def __post_init__(self) -> None:
-        if self.system not in DEFAULT_BOUNDS:
-            raise UnsupportedSystemError(
-                f"system must be one of {tuple(DEFAULT_BOUNDS)}, got {self.system!r}"
-            )
+        record = check_system(self.system)
         n_samples = mc.check_int("n_samples", self.n_samples, 1, mc.MAX_COUNT)
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "seed", mc.check_seed(self.seed))
-        bounds = self.bounds if self.bounds is not None else DEFAULT_BOUNDS[self.system]
+        bounds = self.bounds if self.bounds is not None else record.bounds
         try:  # each entry must unpack into exactly (low, high)
             bounds = [(lo, hi) for lo, hi in bounds]
         except (TypeError, ValueError):
             bounds = []
         if len(bounds) != 3:
             raise DomainError(f"bounds must be 3 (low, high) pairs, got {self.bounds!r}")
-        names = _COORD_NAMES[self.system]
         bounds = tuple((check_finite(f"bounds for {n}", lo), check_finite(f"bounds for {n}", hi))
-                       for n, (lo, hi) in zip(names, bounds))
-        for name, (lo, hi) in zip(names, bounds):
+                       for n, (lo, hi) in zip(record.coords, bounds))
+        for name, (lo, hi) in zip(record.coords, bounds):
             if not (math.isfinite(hi - lo) and lo < hi):
                 raise DomainError(f"bounds for {name} need low < high, high - low finite, "
                                   f"got ({lo}, {hi})")

@@ -252,11 +252,17 @@ class TestEtaSolver:
             with pytest.raises(DomainError):
                 check(0.5, "2")
 
-    @pytest.mark.parametrize("level", [np.float32(2.0), np.int64(2)])
-    def test_numpy_levels_answer_as_floats(self, level):
+    # an int past the float range exceeds every float, so it answers as inf:
+    # attainable, with no pair inside the guard
+    @pytest.mark.parametrize("level, as_float", [
+        (np.float32(2.0), 2.0), (np.int64(2), 2.0), (10**400, math.inf),
+    ], ids=["level0", "level1", "level2"])
+    def test_numpy_levels_answer_as_floats(self, level, as_float):
         for theta in (-0.5, 0.5, math.log(2.0)):
-            assert solve_stratum_from_rr_eta(theta, level) == solve_stratum_from_rr_eta(theta, 2.0)
-            assert eta_attainable(theta, level) == eta_attainable(theta, 2.0)
+            assert solve_stratum_from_rr_eta(theta, level) == solve_stratum_from_rr_eta(theta, as_float)
+            assert eta_attainable(theta, level) == eta_attainable(theta, as_float)
+        if as_float == math.inf:
+            assert eta_attainable(0.5, level) and solve_stratum_from_rr_eta(0.5, level) == ()
 
     def test_symmetric_point(self):
         sols = solve_stratum_from_rr_eta(0.0, math.log(2.0))

@@ -29,7 +29,7 @@ from effectgeom import (
 )
 from effectgeom import coords
 from effectgeom.homogeneity import (
-    SUPPORTED_TARGETS,
+    COMPAT_SYSTEMS,
     check_compatibility_batch,
     completion_candidate,
 )
@@ -150,7 +150,7 @@ class TestMemoryLayout:
     """The batch verdicts do not depend on how the points are laid out in memory."""
 
     @pytest.mark.parametrize(
-        "system, target", [(s, t) for s, targets in SUPPORTED_TARGETS.items() for t in targets]
+        "system, target", [(s, t) for s, record in COMPAT_SYSTEMS.items() for t in record.targets]
     )
     def test_same_verdicts_in_every_layout(self, system, target, rng):
         # the guard edges as coordinates, and as baseline risks on the log scales

@@ -40,8 +40,10 @@ def _toy_task(scale: int, index: int, size: int) -> np.ndarray:
 
 class TestRunChunked:
     def test_rejects_workers_below_one(self):
-        with pytest.raises(DomainError, match=">= 1"):
-            mc.run_chunked(_toy_task, (2,), 10, workers=0)
+        # the rule of mc.check_int: an integer-valued real, so also no 2.5, None or "2"
+        for workers in (0, 2.5, None, "2"):
+            with pytest.raises(DomainError, match=r"workers must be an integer in \[1, "):
+                mc.run_chunked(_toy_task, (2,), 10, workers=workers)
 
     def test_sum_is_worker_independent(self):
         n = 3 * mc.CHUNK_SIZE + 11

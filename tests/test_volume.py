@@ -14,7 +14,7 @@ from effectgeom import (
     mc,
     volume,
 )
-from effectgeom.homogeneity import SUPPORTED_TARGETS, check_compatibility_batch
+from effectgeom.homogeneity import COMPAT_SYSTEMS, check_compatibility_batch
 
 
 class TestPriorSpec:
@@ -193,7 +193,7 @@ class TestChunkBlocking:
         "size", [1, mc.BLOCK_SIZE - 1, mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1, mc.CHUNK_SIZE]
     )
     @pytest.mark.parametrize(
-        "system, target", [(s, t) for s, targets in SUPPORTED_TARGETS.items() for t in targets]
+        "system, target", [(s, t) for s, record in COMPAT_SYSTEMS.items() for t in record.targets]
     )
     def test_blocked_count_equals_unblocked(self, system, target, size):
         prior = PriorSpec(system, n_samples=mc.CHUNK_SIZE, seed=31, bounds=_BLOCKING_BOXES[system])
