@@ -25,8 +25,7 @@ import json
 import math
 import sys
 
-from . import coords as coords_mod
-from . import power, table, volume
+from . import coords, power, table, volume
 from .errors import ConfigError, EffectGeomError
 from .homogeneity import (
     COMPAT_SYSTEMS,
@@ -36,24 +35,8 @@ from .homogeneity import (
 )
 from .table import MEASURES, RiskTable, StratumPair
 
-#: system -> (value class, inverse to the matching risk tables, forward map
-#: from a table).  The inverses look the coords function up at call time, so
-#: that a wrapper set on the module attribute sees every call.
-_CONVERT = {
-    "prob": (RiskTable, lambda t: [t], lambda t: t),
-    "poisson": (
-        coords_mod.PoissonCoords, lambda c: [coords_mod.from_poisson(c)], coords_mod.to_poisson
-    ),
-    "rr_op": (coords_mod.RrOpCoords, lambda c: [coords_mod.from_rr_op(c)], coords_mod.to_rr_op),
-    "logistic": (
-        coords_mod.LogisticCoords, lambda c: [coords_mod.from_logistic(c)], coords_mod.to_logistic
-    ),
-    "rr_eta": (coords_mod.RrEtaCoords, lambda c: coords_mod.from_rr_eta(c), coords_mod.to_rr_eta),
-}
-
-
 def _field_names(system: str) -> list[str]:
-    return [f.name for f in dataclasses.fields(_CONVERT[system][0])]
+    return [f.name for f in dataclasses.fields(coords.SYSTEMS[system].cls)]
 
 
 def _fmt(x) -> str:
@@ -331,18 +314,18 @@ def _coords_from_args(system: str, args) -> object:
     missing = [f"--{f}" for f in names if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"system {system!r} requires flags: {', '.join(missing)}")
-    return _CONVERT[system][0](**{f: getattr(args, f) for f in names})
+    return coords.SYSTEMS[system].cls(**{f: getattr(args, f) for f in names})
 
 
 def _from_table(system: str, t: RiskTable) -> dict[str, float]:
-    c = _CONVERT[system][2](t)
+    c = coords.SYSTEMS[system].forward(t)
     return {f: getattr(c, f) for f in _field_names(system)}
 
 
 def cmd_convert(args) -> tuple:
     src = args.from_system
     dst = args.to_system
-    tables = _CONVERT[src][1](_coords_from_args(src, args))
+    tables = coords.SYSTEMS[src].inverse(_coords_from_args(src, args))
     solutions = [_from_table(dst, t) for t in tables]
     payload = {"from": src, "to": dst, "count": len(solutions), "solutions": solutions}
     rows = [[i, field, v] for i, sol in enumerate(solutions) for field, v in sol.items()]
@@ -413,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("convert", help="translate between coordinate systems")
-    p.add_argument("--from-system", choices=coords_mod.SYSTEMS, required=True)
-    p.add_argument("--to-system", choices=coords_mod.SYSTEMS, required=True)
+    p.add_argument("--from-system", choices=coords.SYSTEMS, required=True)
+    p.add_argument("--to-system", choices=coords.SYSTEMS, required=True)
     _add_table_flags(p, required=False)
-    coord_fields = (f for system in _CONVERT if system != "prob" for f in _field_names(system))
+    coord_fields = (f for s in coords.SYSTEMS if s != "prob" for f in _field_names(s))
     for f in dict.fromkeys(coord_fields):
         p.add_argument(f"--{f}", type=float, default=None)
     _add_format(p)

@@ -1,7 +1,8 @@
 """Saturated coordinate systems for the 2x2 risk table.
 
 Four alternative 4-parameter coordinate systems, each a different split into
-an effect coordinate pair and a nuisance coordinate pair:
+an effect coordinate pair and a nuisance coordinate pair.  `SYSTEMS` is the
+one table of ``convert`` systems: ``prob`` and these four.
 
 ``poisson``    log baseline risk / log relative risk::
 
@@ -18,6 +19,7 @@ an effect coordinate pair and a nuisance coordinate pair:
                stratum 0, ``b1`` the cross-stratum baseline log-odds shift,
                ``a0`` the log odds ratio of stratum 0 and ``a1`` the log
                odds-ratio interaction.  A bijection with all real 4-tuples.
+               The same contrasts as ``poisson``, of logit in place of log.
 
 ``rr_eta``     log shifted-odds contrast / log relative risk.  ``e0`` is
                ``log eta`` of stratum 0 and ``e1`` the cross-stratum log-eta
@@ -38,6 +40,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,9 +57,6 @@ from .table import (
     odds_product,
     relative_risk,
 )
-
-#: Systems of the ``convert`` command; those of compatibility are `homogeneity.COMPAT_SYSTEMS`.
-SYSTEMS = ("prob", "poisson", "rr_op", "logistic", "rr_eta")
 
 LOG_1P5 = math.log(1.5)
 
@@ -114,21 +114,25 @@ class RrEtaCoords(_FiniteCoords):
 # ---------------------------------------------------------------------------
 
 
-def _risk_from(component: str, value: float) -> float:
-    if not in_guard(value):
-        raise OutOfDomainError(component, value, ">= 1" if value > 0.5 else "<= 0")
-    return value
+def _contrasts(l00: float, l01: float, l10: float, l11: float) -> tuple[float, ...]:
+    """(base, shift, effect, interaction) of the link values of cells p00, p01, p10, p11."""
+    return l00, l10 - l00, l01 - l00, l11 - l10 - (l01 - l00)
 
 
-def _table_from(cells, inverse_link) -> RiskTable:
-    """The table whose risks are ``inverse_link`` of the (name, value) cells.
+def _table_from(c, inverse_link) -> RiskTable:
+    """The table at ``c`` = (base, shift, effect, interaction), through ``inverse_link``.
 
     Raises:
         OutOfDomainError: naming the first cell whose risk fails `in_guard`.
     """
+    base, shift, effect, interaction = dataclasses.astuple(c)
+    links = [base, base + effect, base + shift, base + shift + effect + interaction]
     with np.errstate(over="ignore"):
-        risks = inverse_link(np.array([x for _, x in cells])).tolist()
-    return RiskTable(**{name: _risk_from(name, p) for (name, _), p in zip(cells, risks)})
+        risks = inverse_link(np.array(links)).tolist()
+    for name, p in zip(("p00", "p01", "p10", "p11"), risks):
+        if not in_guard(p):
+            raise OutOfDomainError(name, p, ">= 1" if p > 0.5 else "<= 0")
+    return RiskTable(*risks)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +142,7 @@ def _table_from(cells, inverse_link) -> RiskTable:
 
 def to_poisson(t: RiskTable) -> PoissonCoords:
     """Forward map to log baseline-risk and log relative-risk coordinates."""
-    beta0 = math.log(t.p00)
-    beta1 = math.log(t.p10) - math.log(t.p00)
-    alpha0 = math.log(t.p01) - math.log(t.p00)
-    alpha1 = math.log(t.p11) - math.log(t.p10) - alpha0
-    return PoissonCoords(beta0, beta1, alpha0, alpha1)
+    return PoissonCoords(*_contrasts(*map(math.log, dataclasses.astuple(t))))
 
 
 def from_poisson(c: PoissonCoords) -> RiskTable:
@@ -153,13 +153,7 @@ def from_poisson(c: PoissonCoords) -> RiskTable:
             outside the open unit interval.  This variation dependence is a
             structural property of the system, not a numerical artifact.
     """
-    cells = (
-        ("p00", c.beta0),
-        ("p01", c.beta0 + c.alpha0),
-        ("p10", c.beta0 + c.beta1),
-        ("p11", c.beta0 + c.beta1 + c.alpha0 + c.alpha1),
-    )
-    return _table_from(cells, np.exp)
+    return _table_from(c, np.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +227,7 @@ def from_rr_op(c: RrOpCoords) -> RiskTable:
 
 def to_logistic(t: RiskTable) -> LogisticCoords:
     """Forward map to saturated log-odds coordinates."""
-    l00, l01, l10, l11 = logit(np.array([t.p00, t.p01, t.p10, t.p11])).tolist()
-    return LogisticCoords(
-        b0=l00,
-        b1=l10 - l00,
-        a0=l01 - l00,
-        a1=l11 - l10 - (l01 - l00),
-    )
+    return LogisticCoords(*_contrasts(*logit(np.array(dataclasses.astuple(t))).tolist()))
 
 
 def from_logistic(c: LogisticCoords) -> RiskTable:
@@ -248,13 +236,7 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
     In float arithmetic, coefficient sums beyond about +-27.6 produce risks
     outside the inclusive guard and raise ``OutOfDomainError``.
     """
-    cells = (
-        ("p00", c.b0),
-        ("p01", c.b0 + c.a0),
-        ("p10", c.b0 + c.b1),
-        ("p11", c.b0 + c.b1 + c.a0 + c.a1),
-    )
-    return _table_from(cells, expit)
+    return _table_from(c, expit)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +430,29 @@ def from_rr_eta(c: RrEtaCoords) -> list[RiskTable]:
         return []
     set1 = solve_stratum_from_rr_eta(c.alpha0 + c.alpha1, c1)
     return [RiskTable.from_strata(s0, s1) for s0 in set0 for s1 in set1]
+
+
+# ---------------------------------------------------------------------------
+# the convert table
+# ---------------------------------------------------------------------------
+
+
+class ConvertSystem(NamedTuple):
+    """A ``convert`` system: its value class, forward map and inverse to every matching table."""
+
+    cls: type
+    forward: Callable[[RiskTable], object]
+    inverse: Callable[[object], list[RiskTable]]
+
+
+#: The systems of the ``convert`` command; those of compatibility are `homogeneity.COMPAT_SYSTEMS`.
+SYSTEMS = {
+    "prob": ConvertSystem(RiskTable, lambda t: t, lambda t: [t]),
+    "poisson": ConvertSystem(PoissonCoords, to_poisson, lambda c: [from_poisson(c)]),
+    "rr_op": ConvertSystem(RrOpCoords, to_rr_op, lambda c: [from_rr_op(c)]),
+    "logistic": ConvertSystem(LogisticCoords, to_logistic, lambda c: [from_logistic(c)]),
+    "rr_eta": ConvertSystem(RrEtaCoords, to_rr_eta, from_rr_eta),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,9 @@ def check_points(points) -> np.ndarray:
         points = np.asarray(points)
         if points.dtype.kind == "O":
             points = np.array([check_finite("point", x) for x in points.flat]).reshape(points.shape)
-        if points.dtype.kind in "biuf":  # tested as floats, so a longdouble past their range fails
-            points = points.astype(float, order="F", copy=False)
+        if points.dtype.kind in "biuf" and points.dtype != np.float64:
+            with np.errstate(over="ignore"):  # a longdouble past the float range casts to inf
+                points = points.astype(float, order="F")
         finite = points.dtype == np.float64 and np.isfinite(points).all()
     except ValueError:
         finite = False
@@ -233,7 +234,7 @@ def check_points(points) -> np.ndarray:
         raise DomainError("points must be real numbers, all finite")
     if points.ndim != 2 or points.shape[1] != 3:
         raise DomainError(f"points must have shape (n, 3), got {points.shape}")
-    return points
+    return np.asfortranarray(points)
 
 
 def check_compatibility_batch(system: str, points, target: str) -> np.ndarray:

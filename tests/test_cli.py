@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectgeom import cli
+from effectgeom import cli, coords
 
 CLI = [sys.executable, "-m", "effectgeom"]
 
@@ -320,25 +320,21 @@ def _run_in_process(argv):
 
 
 class TestConvertRoundTrip:
-    def test_prob_to_rr_eta_and_back(self):
-        p = run(
-            "convert", "--from-system", "prob", "--to-system", "rr_eta",
-            "--p00", ".27", "--p01", ".81", "--p10", ".46", "--p11", ".99",
-            "--format", "json",
-        )
-        coords = json.loads(p.stdout)["solutions"][0]
-        back = run(
-            "convert", "--from-system", "rr_eta", "--to-system", "prob",
-            "--alpha0", repr(coords["alpha0"]), "--alpha1", repr(coords["alpha1"]),
-            "--e0", repr(coords["e0"]), "--e1", repr(coords["e1"]),
-            "--format", "json",
-        )
-        payload = json.loads(back.stdout)
-        assert payload["count"] >= 1
+    @pytest.mark.parametrize("system", coords.SYSTEMS)
+    def test_prob_to_system_and_back(self, system):
+        def convert(src, dst, values):
+            flags = [x for k, v in values.items() for x in (f"--{k}", repr(v))]
+            out = _run_in_process(
+                ["convert", "--from-system", src, "--to-system", dst, *flags, "--format", "json"]
+            )
+            assert out["code"] == 0, out["stderr"]
+            return json.loads(out["stdout"])["solutions"]
+
         target = {"p00": 0.27, "p01": 0.81, "p10": 0.46, "p11": 0.99}
+        (point,) = convert("prob", system, target)
         assert any(
             all(abs(sol[k] - v) < 1e-8 for k, v in target.items())
-            for sol in payload["solutions"]
+            for sol in convert(system, "prob", point)
         )
 
     def test_rr_eta_solution_count_reported(self):

@@ -3,6 +3,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from effectgeom import (
@@ -48,8 +49,15 @@ def test_bad_input_raises_a_package_error(call):
         call()
 
 
+# a longdouble past the float range, where longdouble is wider than float64
+_WIDE_LONGDOUBLE = int(np.finfo(np.longdouble).max) > 10**400
+
 BAD_POINTS = {
     "huge-int": (1, 10**400, 3),
+    "longdouble-past-float": pytest.param(
+        (np.longdouble("1e400") if _WIDE_LONGDOUBLE else None, 0.2, 0.3),
+        marks=pytest.mark.skipif(not _WIDE_LONGDOUBLE, reason="longdouble is float64 here"),
+    ),
     "minus-inf": (-math.inf, 0.2, 0.3),
     "plus-inf": (0.2, 0.3, math.inf),
     "nan": (0.2, math.nan, 0.3),
