@@ -302,6 +302,15 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
 #
 # with no 1 - p formed.  It increases with p0 along a branch, so each
 # branch's smallest kept root carries that branch's smallest log odds ratio.
+#
+# One branch per point.  As a function of p0 on (0, 1) the log odds ratio is
+# theta + log(1 - p0) - log(1 - r p0), with derivative
+# (r - 1) / ((1 - p0)(1 - r p0)), negative for r < 1.  There g falls, so the
+# g = -c root has the larger p0 and carries the smaller log odds ratio.  For
+# theta >= 0 the g = -c branch has no root in (0, B) (above).  So the
+# smallest log odds ratio comes from the g = -c branch where theta < 0 and
+# from the g = +c branch elsewhere; where theta < 0 the g = +c root matters
+# only if the g = -c root fails the guard.
 
 
 #: Half-width, relative to b^2, of the band around D = 0 decided by the floor.
@@ -322,27 +331,48 @@ def _in_guard(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
-    """Smaller positive root of g(p0; r) = s and its Vieta partner (NaN if none)."""
-    b = r - 0.5 - k
-    b2 = b * b
-    D = b2 + 2.0 * r * one_minus_k
+    """Smaller positive root of g(p0; r) = s and its Vieta partner (NaN if none).
+
+    Works in place on its own temporaries; the inputs are not written.
+    """
+    b = r - 0.5
+    b -= k
+    band = b * b
+    D = 2.0 * r
+    D *= one_minus_k
+    D += band
     # rounding can decide the sign of D only in this band (shape notes)
-    near = np.flatnonzero(np.abs(D) <= _D_BAND * b2)
+    band *= _D_BAND
+    near = np.flatnonzero(np.abs(D) <= band)
     if near.size:
         at_or_above = s[near] >= _eta_floor(theta[near])
         D[near] = np.where(at_or_above, np.maximum(D[near], 0.0), np.nan)
-    sq = np.sqrt(D)
-    p0 = np.where(b <= 0.0, 1.0 / (sq - b), (sq + b) / (2.0 * r * one_minus_k))
-    return p0, -0.5 / (r * one_minus_k * p0)
+    p0 = np.sqrt(D, out=D)
+    left = p0 - b
+    np.divide(1.0, left, out=left)
+    p0 += b
+    den = np.multiply(2.0, r, out=band)
+    den *= one_minus_k
+    p0 /= den
+    np.copyto(p0, left, where=b <= 0.0)
+    partner = np.multiply(r, one_minus_k, out=den)
+    partner *= p0
+    np.divide(-0.5, partner, out=partner)
+    return p0, partner
+
+
+def _sign_branch(c: np.ndarray, minus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, k, 1 - k) of the branch g = -c where ``minus``, and of g = +c elsewhere."""
+    k = np.exp(c)
+    em1 = np.expm1(c)
+    return np.where(minus, -c, c), np.where(minus, 1.0 / k, k), np.where(minus, em1 / k, -em1)
 
 
 def _level_roots(theta: np.ndarray, c: np.ndarray):
     """``r`` and the (smaller, partner) roots of the branches g = +c and g = -c."""
     r = np.exp(theta)
-    k = np.exp(c)
-    em1 = np.expm1(c)
-    plus = _branch_roots(theta, r, c, k, -em1)
-    minus = _branch_roots(theta, r, -c, 1.0 / k, em1 / k)
+    plus = _branch_roots(theta, r, *_sign_branch(c, False))
+    minus = _branch_roots(theta, r, *_sign_branch(c, True))
     return r, plus, minus
 
 
@@ -469,29 +499,54 @@ def eta_attainable_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(theta == 0.0, c > floor, c >= floor)
 
 
+def _branch_min_log_odds_ratio(theta, r, s, k, one_minus_k) -> np.ndarray:
+    """Log odds ratio minus theta of the branch g = s's smallest guarded root; +inf if none.
+
+    Where the smaller root lies below eps, its Vieta partner stands in (the
+    right root of the g = +c branch, for r > 1).  No other partner is ever
+    guarded: it is >= 1 on the g = +c branch for r <= 1, and negative on the
+    g = -c branch.
+    """
+    p0, partner = _branch_roots(theta, r, s, k, one_minus_k)
+    p0 = np.where(p0 >= DEFAULT_EPS, p0, partner)
+    guarded = _in_guard(p0, r)
+    log_or = np.multiply(r, p0, out=partner)
+    log_or += 0.5
+    np.divide(p0, log_or, out=log_or)
+    np.log(log_or, out=log_or)
+    log_or += s
+    log_or[~guarded] = np.inf
+    return log_or
+
+
 def eta_min_log_odds_ratio_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Smallest log odds ratio over the stratum pairs solving (theta, c).
 
-    +inf where the solution set is empty.  Used by the compatibility batch
-    check: the level curve of the contrast at level c1 attains exactly the
-    log odds ratios below ``c1 - log 1.5``, so a match for a second stratum
-    exists iff this minimum is under that bound.
+    Element-wise, broadcasting ``theta`` against ``c``; +inf where the
+    solution set is empty.  Used by the compatibility batch check, which
+    compares it with ``c1 - log 1.5``: the supremum of the log odds ratios on
+    the stratum-1 level curve at c1 when the guard is ignored.  Inside the
+    guard the curve reaches less, so the comparison can call a draw
+    compatible with no guarded stratum-1 match (the "Limit" paragraph of
+    `homogeneity`).
 
-    Each sign branch contributes its smallest root inside the guard, which
-    carries the branch's smallest log odds ratio (shape notes above).  That
-    is the smaller root, except on the g = +c branch where the smaller root
-    lies below eps: there the Vieta partner (the right root, for r > 1) may
-    still be inside.  No other partner ever is: it is >= 1 on the g = +c
-    branch for r <= 1, and negative on the g = -c branch.  Agrees with
-    `solve_stratum_from_rr_eta` point by point.
+    One sign branch decides each point (shape notes above): g = -c where
+    theta < 0, whose root carries the smaller log odds ratio, and g = +c
+    elsewhere, where the g = -c branch has no root in (0, B).  Where theta < 0
+    and the g = -c root fails the guard, the g = +c branch is tried instead.
+    Agrees with `solve_stratum_from_rr_eta` point by point.
     """
-    theta = np.asarray(theta, dtype=float)
-    c = np.asarray(c, dtype=float)
+    theta, c = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(c, dtype=float))
+    shape = theta.shape
+    theta, c = theta.ravel(), c.ravel()  # 1-d, so that flat indices index them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r, (p_plus, partner), (p_minus, _) = _level_roots(theta, c)
-        p_plus = np.where(p_plus >= DEFAULT_EPS, p_plus, partner)
-        best = np.full(theta.shape, np.inf)
-        for s, p0 in ((c, p_plus), (-c, p_minus)):
-            log_or = s + np.log(p0 / (r * p0 + 0.5))
-            best = np.minimum(best, np.where(_in_guard(p0, r), log_or, np.inf))
-        return theta + best
+        neg = theta < 0.0
+        r = np.exp(theta)
+        best = _branch_min_log_odds_ratio(theta, r, *_sign_branch(c, neg))
+        lost = np.flatnonzero(neg & (best == np.inf))
+        if lost.size:  # usually empty; recomputes e^c there rather than keep it per block
+            best[lost] = _branch_min_log_odds_ratio(
+                theta[lost], r[lost], *_sign_branch(c[lost], False)
+            )
+        best += theta
+        return best.reshape(shape)

@@ -168,12 +168,16 @@ def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:
     alpha0, e0, e1 = points[:, 0], points[:, 1], points[:, 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c0 = np.exp(e0)
-        c1 = np.exp(e0 + e1)
         if target == "rr":
+            c1 = np.add(e0, e1)
+            np.exp(c1, out=c1)
             # attainability rises with the level, so the lower level decides
-            return eta_attainable_vec(alpha0, np.minimum(c0, c1))
+            return eta_attainable_vec(alpha0, np.minimum(c0, c1, out=c1))
         best = eta_min_log_odds_ratio_vec(alpha0, c0)
-        return best < c1 - LOG_1P5
+        c1 = np.add(e0, e1, out=c0)  # c0 is spent
+        np.exp(c1, out=c1)
+        c1 -= LOG_1P5
+        return best < c1
 
 
 class CompatSystem(NamedTuple):

@@ -20,10 +20,6 @@ from .errors import DomainError
 #: Samples per chunk; fixed so that (seed, chunk index) -> stream is stable.
 CHUNK_SIZE = 65536
 
-#: Rows a chunk task evaluates at a time, which bounds each worker's
-#: temporaries; results do not depend on it.
-BLOCK_SIZE = 4096
-
 #: Largest sample or replicate count: 65536 chunks, about 110 MB of bookkeeping.
 MAX_COUNT = 2**32
 

@@ -36,6 +36,11 @@ _CELLS = ("00", "01", "10", "11")  # (v, a) order used for all 4-vectors
 
 _MAX_CELL = 2**63 - 1  # numpy draws binomial cells as int64
 
+#: Rows `_wald` evaluates at a time; tallies do not depend on it.  On eight
+#: 262144-replicate queries at 2 workers, 16384 rows ran 4-16% faster but
+#: raised peak RSS from 43-45 to 51-56 MB, so power keeps 4096.
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class StudyDesign:
@@ -179,8 +184,8 @@ def _chunk_tallies(
     totals = np.array(design_cells, dtype=float)[:, None]
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, size, mc.BLOCK_SIZE):
-            events = np.stack([c[start : start + mc.BLOCK_SIZE] for c in cells])
+        for start in range(0, size, BLOCK_ROWS):
+            events = np.stack([c[start : start + BLOCK_ROWS] for c in cells])
             for i, (est, var) in enumerate(_wald(events, totals)):
                 valid = var > 0.0
                 z = np.abs(est / np.sqrt(var))

@@ -46,6 +46,14 @@ _CUBE_PROBABILITY = {"rd": Fraction(2, 3), "rr": Fraction(3, 4), "or": Fraction(
 
 Bounds = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
+#: Rows of a chunk drawn and checked at a time; counts do not depend on it.
+#: At 4096 rows two threads ran volume queries slower than one (wall time at
+#: one worker over two: 0.79 on rr_eta, 0.85 on prob and rr_op); at 16384
+#: rows they read 1.02 and 1.32, for 1.9 MB more peak RSS on rr_eta
+#: (`BENCH_13.json`).  The predicates' per-block temporaries are pinned in
+#: `tests/test_volume.py`.
+BLOCK_ROWS = 16384
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -95,9 +103,9 @@ def _chunk_counts(prior: PriorSpec, target: str, index: int, size: int) -> np.nd
     lows = np.array([b[0] for b in prior.bounds])
     widths = np.array([b[1] for b in prior.bounds]) - lows
     count = 0
-    for start in range(0, size, mc.BLOCK_SIZE):
+    for start in range(0, size, BLOCK_ROWS):
         # one column-major copy, scaled in place: the kernels read unit-stride columns
-        points = np.asfortranarray(rng.random((min(mc.BLOCK_SIZE, size - start), 3)))
+        points = np.asfortranarray(rng.random((min(BLOCK_ROWS, size - start), 3)))
         points *= widths
         points += lows
         count += int(check_compatibility_batch(prior.system, points, target).sum())

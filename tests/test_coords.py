@@ -372,6 +372,103 @@ class TestVectorKernels:
             assert vec[i] == pytest.approx(best, abs=1e-9)
 
 
+def _two_branch_best(theta, c):
+    """The rr_eta ``or`` kernel as it was before one sign branch decided each point.
+
+    A frozen copy with the same float expressions: both branches g = +c and
+    g = -c are solved everywhere and the smaller guarded log odds ratio wins.
+    Returns (best, the g = -c branch's own guarded log odds ratio or +inf).
+    """
+    def floor(t):
+        up = np.maximum(t, 0.0)
+        r = np.exp(up)
+        m = np.log(2.0 * r - 0.5 + np.sqrt(3.0 * r * np.expm1(up)))
+        return np.where(t < 0.0, 0.0, m)
+
+    def branch(r, s, k, one_minus_k):
+        b = r - 0.5 - k
+        b2 = b * b
+        D = b2 + 2.0 * r * one_minus_k
+        near = np.flatnonzero(np.abs(D) <= 1e-8 * b2)
+        if near.size:
+            at_or_above = s[near] >= floor(theta[near])
+            D[near] = np.where(at_or_above, np.maximum(D[near], 0.0), np.nan)
+        sq = np.sqrt(D)
+        p0 = np.where(b <= 0.0, 1.0 / (sq - b), (sq + b) / (2.0 * r * one_minus_k))
+        return p0, -0.5 / (r * one_minus_k * p0)
+
+    def guarded(p):
+        return (p >= 1e-12) & (p <= 1.0 - 1e-12)
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(theta)
+        k = np.exp(c)
+        em1 = np.expm1(c)
+        p_plus, partner = branch(r, c, k, -em1)
+        p_minus, _ = branch(r, -c, 1.0 / k, em1 / k)
+        p_plus = np.where(p_plus >= 1e-12, p_plus, partner)
+        best = np.full(theta.shape, np.inf)
+        for s, p0 in ((c, p_plus), (-c, p_minus)):
+            log_or = s + np.log(p0 / (r * p0 + 0.5))
+            log_or = np.where(guarded(p0) & guarded(r * p0), log_or, np.inf)
+            best = np.minimum(best, log_or)
+        return theta + best, log_or
+
+
+# (alpha0, e0) boxes: five that probe the branch rule, the four volume_rr_eta
+# boxes, and the negative half of a wide box
+_ONE_BRANCH_BOXES = {
+    "narrow": ((-1.5, 1.5), (-1.0, 1.0)),
+    "wide": ((-40.0, 40.0), (-6.0, 6.0)),
+    "low-level": ((-30.0, 30.0), (-30.0, 5.0)),
+    "theta-near-0": ((-1e-6, 1e-6), (-6.0, 6.0)),
+    "guard-edge": ((-60.0, 0.0), (2.0, 6.0)),
+    "volume-default": ((-1.5, 1.5), (-1.0, 1.0)),
+    "volume-neg": ((-1.5, 0.0), (-1.0, 1.0)),
+    "volume-pos": ((0.0, 1.5), (-1.0, 1.0)),
+    "volume-wide": ((-3.0, 3.0), (-2.0, 2.0)),
+    "negative-wide": ((-40.0, 0.0), (-6.0, 6.0)),
+}
+
+
+class TestOneSignBranch:
+    """`eta_min_log_odds_ratio_vec` solves one sign branch per point, with the same bits."""
+
+    @pytest.mark.parametrize("box", list(_ONE_BRANCH_BOXES))
+    def test_best_is_bit_identical_to_both_branches(self, box):
+        (a_lo, a_hi), (e_lo, e_hi) = _ONE_BRANCH_BOXES[box]
+        rng = np.random.default_rng([20261018, list(_ONE_BRANCH_BOXES).index(box)])
+        theta = rng.uniform(a_lo, a_hi, 200_000)
+        if box == "theta-near-0":
+            theta[:1000] = 0.0
+        c = np.exp(rng.uniform(e_lo, e_hi, 200_000))
+        want, _ = _two_branch_best(theta, c)
+        got = eta_min_log_odds_ratio_vec(theta, c)
+        assert got.tobytes() == want.tobytes()
+
+    def test_fallback_rescues_points_whose_minus_root_fails_the_guard(self):
+        # where theta < 0 and the g = -c root lies outside the guard, the
+        # g = +c root can still be guarded; only the fallback finds it
+        rng = np.random.default_rng(20261018)
+        theta = rng.uniform(-60.0, 0.0, 200_000)
+        c = np.exp(rng.uniform(2.0, 6.0, 200_000))
+        _, minus_only = _two_branch_best(theta, c)
+        fallback = (theta < 0.0) & (minus_only == np.inf)
+        rescued = fallback & np.isfinite(eta_min_log_odds_ratio_vec(theta, c))
+        assert fallback.any() and rescued.any()
+
+    def test_any_shape_gives_the_flat_values(self):
+        # the fallback indexes flat positions; a 2-d or 0-d input must not
+        # mix them up with rows
+        rng = np.random.default_rng(20261019)
+        theta = rng.uniform(-60.0, 0.0, 20_000)
+        c = np.exp(rng.uniform(2.0, 6.0, 20_000))
+        flat = eta_min_log_odds_ratio_vec(theta, c)
+        grid = eta_min_log_odds_ratio_vec(theta.reshape(100, 200), c.reshape(100, 200))
+        assert grid.shape == (100, 200) and grid.tobytes() == flat.tobytes()
+        assert eta_min_log_odds_ratio_vec(theta[7], c[7]) == flat[7]
+
+
 @pytest.fixture(scope="module")
 def decimal_cases():
     """(theta, c, 50-digit guarded stratum pairs) over theta in [-3, 3], c in [0.05, 30]."""

@@ -214,12 +214,16 @@ class TestExactRates:
             assert abs(sp.rate - exact[scale]) <= 4.0 * se, (scale, sp.rate, exact[scale])
 
 
+B = power.BLOCK_ROWS
+
+
 class TestChunkBlocking:
     """`_chunk_tallies` runs `_wald` in blocks; the tallies equal one whole-chunk call."""
 
-    @pytest.mark.parametrize(
-        "size", [1, mc.BLOCK_SIZE - 1, mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1, mc.CHUNK_SIZE]
-    )
+    def test_block_rows_divide_the_chunk(self):
+        assert mc.CHUNK_SIZE % B == 0
+
+    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, mc.CHUNK_SIZE])
     @pytest.mark.parametrize("design", [(10, 10, 10, 10), (3, 5, 4, 6)])
     def test_blocked_tallies_equal_unblocked(self, design, size):
         truth, z_crit, seed, index = (0.2, 0.35, 0.3, 0.6), 1.959964, 17, 2

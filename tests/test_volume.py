@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,18 +187,49 @@ _BLOCKING_BOXES = {
 }
 
 
+_PAIRS = [(s, t) for s, record in COMPAT_SYSTEMS.items() for t in record.targets]
+
+B = volume.BLOCK_ROWS
+
+
 class TestChunkBlocking:
     """`_chunk_counts` evaluates in blocks; the count equals one whole-chunk pass."""
 
-    @pytest.mark.parametrize(
-        "size", [1, mc.BLOCK_SIZE - 1, mc.BLOCK_SIZE, mc.BLOCK_SIZE + 1, mc.CHUNK_SIZE]
-    )
-    @pytest.mark.parametrize(
-        "system, target", [(s, t) for s, record in COMPAT_SYSTEMS.items() for t in record.targets]
-    )
+    def test_block_rows_divide_the_chunk(self):
+        assert mc.CHUNK_SIZE % B == 0
+
+    # 4095-4097 end inside the first block
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, B - 1, B, B + 1, mc.CHUNK_SIZE])
+    @pytest.mark.parametrize("system, target", _PAIRS)
     def test_blocked_count_equals_unblocked(self, system, target, size):
         prior = PriorSpec(system, n_samples=mc.CHUNK_SIZE, seed=31, bounds=_BLOCKING_BOXES[system])
         u = mc.chunk_rng(prior.seed, 3).random((size, 3))
         lows, highs = np.array(prior.bounds).T
         ok = check_compatibility_batch(system, lows + u * (highs - lows), target)
         assert volume._chunk_counts(prior, target, 3, size).tolist() == [int(ok.sum())]
+
+
+# Peak temporaries of one predicate call on one volume block, in block-length
+# float64 arrays: each measured value (numpy 2.4) rounded up to a quarter.  Two
+# worker threads each hold this much beside their block, so a kernel edit that
+# raises it raises the volume queries' peak RSS.
+_PEAK_ARRAYS = {
+    ("prob", "rd"): 2.25, ("prob", "rr"): 2.25, ("prob", "or"): 4.25,
+    ("rr_op", "rr"): 11.25, ("rr_op", "or"): 8.25,
+    ("rr_eta", "rr"): 8.25, ("rr_eta", "or"): 9.5,
+}
+
+
+@pytest.mark.parametrize("system, target", _PAIRS)
+def test_block_temporaries_stay_pinned(system, target):
+    prior = PriorSpec(system, n_samples=mc.CHUNK_SIZE, seed=31, bounds=_BLOCKING_BOXES[system])
+    lows, highs = np.array(prior.bounds).T
+    points = np.asfortranarray(lows + mc.chunk_rng(prior.seed, 0).random((B, 3)) * (highs - lows))
+    check_compatibility_batch(system, points, target)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        check_compatibility_batch(system, points, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * B) <= _PEAK_ARRAYS[system, target]
