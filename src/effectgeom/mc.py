@@ -59,7 +59,8 @@ def run_chunked(
 
     ``task`` must return an integer ndarray of fixed shape; the sum is
     order-independent, so any worker count yields identical totals.  The
-    chunks run on a thread pool with no more threads than chunks or CPUs,
+    chunks run on a thread pool with no more threads than chunks or than CPUs
+    this process may run on (its affinity set where the OS has one),
     and an exception a task raises, or an interrupt, reaches the caller
     unchanged once the running chunks finish; queued chunks are cancelled.
 
@@ -67,7 +68,9 @@ def run_chunked(
         DomainError: unless ``workers`` passes `check_int` in [1, MAX_COUNT].
     """
     layout = chunk_layout(n)
-    workers = min(check_int("workers", workers, 1, MAX_COUNT), len(layout), os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(check_int("workers", workers, 1, MAX_COUNT), len(layout), cpus)
     if workers == 1:
         parts = [task(*args, index, size) for index, size in layout]
     else:

@@ -36,9 +36,10 @@ _CELLS = ("00", "01", "10", "11")  # (v, a) order used for all 4-vectors
 
 _MAX_CELL = 2**63 - 1  # numpy draws binomial cells as int64
 
-#: Rows `_wald` evaluates at a time; tallies do not depend on it.  On eight
-#: 262144-replicate queries at 2 workers, 16384 rows ran 4-16% faster but
-#: raised peak RSS from 43-45 to 51-56 MB, so power keeps 4096.
+#: Rows `_wald` evaluates at a time; tallies do not depend on it.  On twenty
+#: 262144-replicate queries at 2 workers, with freed memory kept by `cli.main`,
+#: 16384 rows ran 12-24% faster but raised peak RSS from 45-49 to 53.5-53.8 MB,
+#: so power keeps 4096.
 BLOCK_ROWS = 4096
 
 

@@ -1,7 +1,9 @@
 import contextlib
+import ctypes
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -419,3 +421,54 @@ class TestDeterminism:
         one = run(*args, "--workers", "1")
         two = run(*args, "--workers", "2")
         assert one.stdout == two.stdout
+
+
+# a second run of the same query, counted from inside the process
+_FAULTS_SCRIPT = """
+import contextlib, io, resource, sys
+from effectgeom import cli
+
+argv = sys.argv[1:]
+def run():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestBlockMemory:
+    """`cli.main` has glibc keep freed block arrays, which no output depends on."""
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc" or not hasattr(ctypes.CDLL(None), "mallopt"),
+        reason="the thresholds are glibc's",
+    )
+    def test_repeated_query_takes_few_page_faults(self):
+        # the 32 row blocks of this query (16 per target) refault 5100-6200
+        # pages when glibc unmaps or trims each block's arrays, and about 16
+        # when the heap keeps them
+        pytest.importorskip("resource")
+        argv = ["volume", "--system", "rr_op", "--target", "rr", "--target", "or",
+                "--n-samples", "262144", "--workers", "1"]
+        done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, *argv],
+                              capture_output=True, text=True, check=True)
+        assert int(done.stdout) <= 500
+
+    def test_c_library_without_mallopt(self, monkeypatch):
+        opened = []
+
+        def no_mallopt(name):
+            opened.append(name)
+            return object()
+
+        cli._keep_freed_memory.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+        try:
+            got = _run_in_process([*_GOLDEN_CASES["volume_cube"], "--format", "json"])
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert opened == [None]
+        assert got == TestGoldenMatrix.GOLDEN["volume_cube/json"]

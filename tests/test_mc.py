@@ -38,6 +38,35 @@ def _toy_task(scale: int, index: int, size: int) -> np.ndarray:
     return np.array([scale * int(rng.integers(0, 1000)) + size], dtype=np.int64)
 
 
+def _fake_cpu_count(monkeypatch, cpus):
+    """Make ``os.cpu_count()`` return ``cpus`` and hide the affinity set, so
+    that `run_chunked` takes its fallback for systems without one."""
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+
+
+def _inline_pool(monkeypatch) -> list:
+    """Replace the thread pool with one that runs each task inline, so that a
+    huge worker count starts no thread; returns the pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestRunChunked:
     def test_rejects_workers_below_one(self):
         # the rule of mc.check_int: an integer-valued real, so also no 2.5, None or "2"
@@ -53,28 +82,21 @@ class TestRunChunked:
 
     @pytest.mark.parametrize("cpus, pool_size", [(None, None), (1, None), (2, 2), (3, 3), (64, 5)])
     def test_pool_is_capped_at_chunks_and_cpus(self, monkeypatch, cpus, pool_size):
-        # a stand-in pool that records its size and runs each task inline, so
-        # that a huge worker count starts no thread
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        sizes = _inline_pool(monkeypatch)
+        _fake_cpu_count(monkeypatch, cpus)
         n = 5 * mc.CHUNK_SIZE
         total = mc.run_chunked(_toy_task, (2,), n, workers=100_000)
         assert sizes == ([] if pool_size is None else [pool_size])
+        assert np.array_equal(total, mc.run_chunked(_toy_task, (2,), n, workers=1))
+
+    def test_pool_is_capped_at_the_affinity_set(self, monkeypatch):
+        # a container or taskset may allow one CPU on a 64-CPU machine
+        sizes = _inline_pool(monkeypatch)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        n = 5 * mc.CHUNK_SIZE
+        total = mc.run_chunked(_toy_task, (2,), n, workers=4)
+        assert sizes == []
         assert np.array_equal(total, mc.run_chunked(_toy_task, (2,), n, workers=1))
 
     def test_worker_exception_reaches_the_caller_unchanged(self, monkeypatch):
@@ -89,7 +111,7 @@ class TestRunChunked:
                 raise raised[-1]
             return np.array([size], dtype=np.int64)
 
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        _fake_cpu_count(monkeypatch, 2)
         with pytest.raises(DomainError, match="chunk 1") as info:
             mc.run_chunked(task, (), 3 * mc.CHUNK_SIZE, workers=2)
         assert info.value is raised[0]
@@ -106,7 +128,7 @@ class TestRunChunked:
             time.sleep(0.01)
             return np.array([size], dtype=np.int64)
 
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        _fake_cpu_count(monkeypatch, 2)
         with pytest.raises(DomainError, match="chunk 0"):
             mc.run_chunked(task, (), 64 * mc.CHUNK_SIZE, workers=2)
         assert len(ran) < 64
