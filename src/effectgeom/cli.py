@@ -272,7 +272,10 @@ def cmd_volume(args) -> tuple:
 
 def cmd_power(args) -> tuple:
     truth = RiskTable(p00=args.p00, p01=args.p01, p10=args.p10, p11=args.p11)
+    given = [f"--{f}" for f in ("n00", "n01", "n10", "n11") if getattr(args, f) is not None]
     if args.n is not None:
+        if given:
+            raise ConfigError(f"--n sets every cell and clashes with {', '.join(given)}")
         design = power.StudyDesign(args.n, args.n, args.n, args.n)
     else:
         missing = [f for f in ("n00", "n01", "n10", "n11") if getattr(args, f) is None]

@@ -13,12 +13,15 @@ logit tests; the identity test uses raw proportions and a replicate whose
 identity variance degenerates to 0 is counted separately, never folded into
 either tally.
 
+Each statistic combines per-cell terms, and a cell's count is an integer in
+[0, n], so a chunk of replicates evaluates the terms once per distinct count.
 Replicates are distributed over fixed-size chunks with counter-based seeding
 (:mod:`effectgeom.mc`), so results are reproducible for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -36,10 +39,9 @@ _CELLS = ("00", "01", "10", "11")  # (v, a) order used for all 4-vectors
 
 _MAX_CELL = 2**63 - 1  # numpy draws binomial cells as int64
 
-#: Rows `_wald` evaluates at a time; tallies do not depend on it.  On twenty
-#: 262144-replicate queries at 2 workers, with freed memory kept by `cli.main`,
-#: 16384 rows ran 12-24% faster but raised peak RSS from 45-49 to 53.5-53.8 MB,
-#: so power keeps 4096.
+#: Rows each block gathers and combines; tallies do not depend on it.  On
+#: twenty 262144-replicate queries at 2 workers, 16384 rows ran 2-14% faster
+#: but peaked at 51.2-51.6 MB RSS against 44.9-48.1, so it stays 4096.
 BLOCK_ROWS = 4096
 
 
@@ -107,34 +109,37 @@ class PowerResult:
     by_scale: dict[str, ScalePower]
 
 
-def _wald(events: np.ndarray, totals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Plug-in interaction estimate and variance on each scale, in `SCALES` order.
+def _cell_terms(events: np.ndarray, totals) -> np.ndarray:
+    """A cell's six terms, stacked: each scale's statistic and its variance term.
 
-    ``events`` and ``totals`` hold the four cells in (v, a) order along the
-    first axis; further axes (replicates) broadcast.  The identity scale uses
-    raw proportions; the log and logit scales continuity-correct cells at 0
-    or n.  A variance of 0 marks a degenerate replicate.
+    Identity reads the raw proportion, log and logit the continuity-corrected
+    one.  ``events`` is an int array; float64 ``totals`` broadcasts against it.
     """
     raw = events / totals
     boundary = (events == 0) | (events == totals)
     adj = np.where(boundary, (events + 0.5) / (totals + 1.0), raw)
     adj_tot = np.where(boundary, totals + 1.0, totals)
-    identity = (raw[3] - raw[2]) - (raw[1] - raw[0]), (raw * (1.0 - raw) / totals).sum(axis=0)
-    log = (
-        np.log(adj[3]) - np.log(adj[2]) - np.log(adj[1]) + np.log(adj[0]),
-        ((1.0 - adj) / (adj_tot * adj)).sum(axis=0),
-    )
-    # the (4, n) log odds are formed last, once the other scales' temporaries
-    # are freed, to keep a chunk's peak memory low
-    lo = logit(adj)
-    var = (1.0 / (adj_tot * adj * (1.0 - adj))).sum(axis=0)
-    return [identity, log, (lo[3] - lo[2] - lo[1] + lo[0], var)]
+    return np.stack([
+        raw, raw * (1.0 - raw) / totals,
+        np.log(adj), (1.0 - adj) / (adj_tot * adj),
+        logit(adj), 1.0 / (adj_tot * adj * (1.0 - adj)),
+    ])
+
+
+def _combine(t00, t01, t10, t11) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Plug-in interaction estimate and variance on each scale, in `SCALES` order.
+
+    Reads four cells' `_cell_terms`; a variance of 0 marks a degenerate replicate.
+    """
+    est = [(t11[0] - t10[0]) - (t01[0] - t00[0])]
+    est += [t11[k] - t10[k] - t01[k] + t00[k] for k in (2, 4)]
+    return [(e, t00[k] + t01[k] + t10[k] + t11[k]) for e, k in zip(est, (1, 3, 5))]
 
 
 def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
     """Plug-in interaction estimate and its delta-method standard error.
 
-    `_wald` at one replicate.
+    `_cell_terms` and `_combine` at one replicate.
 
     Raises:
         DomainError: for a scale outside `SCALES`.
@@ -143,9 +148,8 @@ def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
     """
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
-    events = np.array(counts.events(), dtype=float)
-    totals = np.array(counts.totals(), dtype=float)
-    est, var = _wald(events, totals)[SCALES.index(scale)]
+    terms = _cell_terms(np.array(counts.events()), np.array(counts.totals(), dtype=float))
+    est, var = _combine(*terms.T)[SCALES.index(scale)]
     if not var > 0.0:
         raise DegenerateCountsError(
             f"all cells at 0 or n, {scale}-scale variance is 0: {counts.events()}"
@@ -178,20 +182,27 @@ def _chunk_tallies(
     """Per-chunk [rejected, degenerate] pairs for each scale, as a flat array.
 
     Each cell is drawn whole, in cell order 00, 01, 10, 11, since drawing it
-    in blocks would change the stream; only `_wald` runs block by block.
+    in blocks would change the stream; blocks gather its tabulated `_cell_terms`.
     """
     rng = mc.chunk_rng(seed, index)
     cells = [rng.binomial(n, p, size=size) for n, p in zip(design_cells, truth_cells)]
-    totals = np.array(design_cells, dtype=float)[:, None]
+    lookups = []  # per cell: a block's drawn counts -> their (6, rows) terms
+    for c, n in zip(cells, design_cells):
+        lo, hi = int(c.min()), int(c.max())
+        if hi - lo < size:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
+            table = _cell_terms(lo + np.arange(hi - lo + 1), float(n))
+            c -= lo
+            lookups.append(functools.partial(np.take, table, axis=1))
+        else:  # a table of the range would outgrow the chunk, such as at n = 2**62
+            lookups.append(functools.partial(_cell_terms, totals=float(n)))
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, size, BLOCK_ROWS):
-            events = np.stack([c[start : start + BLOCK_ROWS] for c in cells])
-            for i, (est, var) in enumerate(_wald(events, totals)):
+            terms = (f(c[start : start + BLOCK_ROWS]) for f, c in zip(lookups, cells))
+            for i, (est, var) in enumerate(_combine(*terms)):  # frees the terms it read
                 valid = var > 0.0
-                z = np.abs(est / np.sqrt(var))
-                out[2 * i] += int((valid & (z > z_crit)).sum())
-                out[2 * i + 1] += int((~valid).sum())
+                out[2 * i] += np.count_nonzero(valid & (np.abs(est / np.sqrt(var)) > z_crit))
+                out[2 * i + 1] += valid.size - np.count_nonzero(valid)
     return out
 
 

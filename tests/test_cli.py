@@ -46,6 +46,14 @@ class TestExitCodes:
         assert p.returncode == 2
         assert "--alpha1" in p.stderr
 
+    @pytest.mark.parametrize("cells", [["--n00", "50"], ["--n01", "5", "--n11", "7"]])
+    def test_power_n_with_a_cell_size_is_2(self, cells):
+        # --n used to win silently over the per-cell sizes
+        out = _run_in_process(["power", *_TABLE, "--n", "10", *cells, "--reps", "10"])
+        named = ", ".join(cells[::2])
+        assert out == {"code": 2, "stdout": "",
+                       "stderr": f"error: --n sets every cell and clashes with {named}\n"}
+
     def test_success_is_0(self):
         assert run("feasible", "--p00", ".5", "--p10", ".5", "--p01", ".5", "--measure", "rr").returncode == 0
 

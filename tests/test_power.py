@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from effectgeom import (
     wald_interaction,
     wald_interaction_pvalue,
 )
+from effectgeom.table import logit
 
 from . import oracles
 
@@ -217,23 +219,104 @@ class TestExactRates:
 B = power.BLOCK_ROWS
 
 
+def _frozen_wald(events, totals):
+    """The per-replicate Wald kernel `_chunk_tallies` replaced, float op for float op."""
+    raw = events / totals
+    boundary = (events == 0) | (events == totals)
+    adj = np.where(boundary, (events + 0.5) / (totals + 1.0), raw)
+    adj_tot = np.where(boundary, totals + 1.0, totals)
+    identity = (raw[3] - raw[2]) - (raw[1] - raw[0]), (raw * (1.0 - raw) / totals).sum(axis=0)
+    log = (
+        np.log(adj[3]) - np.log(adj[2]) - np.log(adj[1]) + np.log(adj[0]),
+        ((1.0 - adj) / (adj_tot * adj)).sum(axis=0),
+    )
+    lo = logit(adj)
+    var = (1.0 / (adj_tot * adj * (1.0 - adj))).sum(axis=0)
+    return [identity, log, (lo[3] - lo[2] - lo[1] + lo[0], var)]
+
+
+_E = 1e-12
+_TRUTHS = ((0.2, 0.35, 0.2, 0.35), (0.2, 0.35, 0.3, 0.6), (_E, 1 - _E, 1 - _E, _E))
+
+# The benchmark's four designs and (3, 5, 4, 6), in an order that keeps the
+# first two test ids; then n = 1 cells, and 2**62 cells, whose drawn range
+# outgrows the chunk except at the guard-edge risks and in a chunk of one
+_DESIGNS = [
+    (10, 10, 10, 10), (3, 5, 4, 6),
+    (100, 100, 100, 100), (1000, 1000, 1000, 1000), (40, 160, 25, 400),
+    (1, 1, 1, 1), (1, 7, 1, 2), (2**62, 10, 1, 2**62),
+]
+
+
 class TestChunkBlocking:
-    """`_chunk_tallies` runs `_wald` in blocks; the tallies equal one whole-chunk call."""
+    """`_chunk_tallies` gathers tabulated terms per block, with the frozen kernel's tallies."""
 
     def test_block_rows_divide_the_chunk(self):
         assert mc.CHUNK_SIZE % B == 0
 
     @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, mc.CHUNK_SIZE])
-    @pytest.mark.parametrize("design", [(10, 10, 10, 10), (3, 5, 4, 6)])
+    @pytest.mark.parametrize("design", _DESIGNS)
     def test_blocked_tallies_equal_unblocked(self, design, size):
-        truth, z_crit, seed, index = (0.2, 0.35, 0.3, 0.6), 1.959964, 17, 2
-        rng = mc.chunk_rng(seed, index)
-        events = np.stack([rng.binomial(n, p, size=size) for n, p in zip(design, truth)])
-        want = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for est, var in power._wald(events, np.array(design, dtype=float)[:, None]):
-                valid = var > 0.0
-                want += [int((valid & (np.abs(est / np.sqrt(var)) > z_crit)).sum()),
-                         int((~valid).sum())]
-        got = power._chunk_tallies(truth, design, z_crit, seed, index, size)
-        assert got.tolist() == want
+        z_crit = 1.959964
+        for k, truth in enumerate(_TRUTHS):
+            seed, index = 17 + k, 2 + 3 * k
+            rng = mc.chunk_rng(seed, index)
+            events = np.stack([rng.binomial(n, p, size=size) for n, p in zip(design, truth)])
+            want = []
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for est, var in _frozen_wald(events, np.array(design, dtype=float)[:, None]):
+                    valid = var > 0.0
+                    want += [int((valid & (np.abs(est / np.sqrt(var)) > z_crit)).sum()),
+                             int((~valid).sum())]
+            got = power._chunk_tallies(truth, design, z_crit, seed, index, size)
+            assert got.tolist() == want, truth
+
+    @pytest.mark.parametrize("design", _DESIGNS)
+    def test_statistics_are_bit_identical_to_the_frozen_kernel(self, design):
+        # tallies rarely show a last-bit change; the statistics show every one
+        for k, truth in enumerate(_TRUTHS):
+            rng = mc.chunk_rng(23 + k, k)
+            events = np.stack([rng.binomial(n, p, size=B) for n, p in zip(design, truth)])
+            direct = [power._cell_terms(e, float(n)) for e, n in zip(events, design)]
+            gathered = [  # from a table of the drawn range, as `_chunk_tallies` does
+                power._cell_terms(np.arange(e.min(), e.max() + 1), float(n))[:, e - e.min()]
+                if e.max() - e.min() < B else terms
+                for e, n, terms in zip(events, design, direct)
+            ]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = _frozen_wald(events, np.array(design, dtype=float)[:, None])
+            for terms in (gathered, direct):
+                got = power._combine(*terms)
+                for (est, var), (want_est, want_var) in zip(got, want):
+                    assert est.tobytes() == want_est.tobytes(), truth
+                    assert var.tobytes() == want_var.tobytes(), truth
+
+
+# Peak memory of one whole-chunk `_chunk_tallies` call, in block-length
+# float64 arrays: each measured value (numpy 2.4) rounded up to a quarter.  The
+# four drawn cells hold 64 of them, and the kernel it replaced peaked at 103.75
+# on every design here.  A cell's terms are tabulated only while its drawn
+# range is narrower than the chunk, so 2**62 cells stay bounded; the peak is
+# highest at the guard-edge risks, where each cell tabulates about 2 * 10**4
+# counts.
+_CHUNK_PEAKS = [
+    ((10, 10, 10, 10), _TRUTHS[1], 97.5),
+    ((100, 100, 100, 100), _TRUTHS[1], 97.75),
+    ((1000, 1000, 1000, 1000), _TRUTHS[1], 98.25),
+    ((40, 160, 25, 400), _TRUTHS[1], 97.75),
+    ((2**62,) * 4, _TRUTHS[1], 98.5),
+    ((2**62,) * 4, _TRUTHS[2], 217.0),
+]
+
+
+@pytest.mark.parametrize("design, truth, arrays", _CHUNK_PEAKS)
+def test_chunk_temporaries_stay_pinned(design, truth, arrays):
+    args = (truth, design, 1.959964, 31, 0, mc.CHUNK_SIZE)
+    power._chunk_tallies(*args)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        power._chunk_tallies(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * B) <= arrays
