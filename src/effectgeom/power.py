@@ -1,6 +1,7 @@
 """Repeated-sampling power of Wald interaction tests on three scales.
 
 Each replicate draws four independent binomial cells from a true risk table,
+one uniform per cell through a Walker alias table of the cell's binomial pmf,
 then tests "interaction = 0" on each scale with a plug-in Wald statistic:
 
     identity  (p11 - p10) - (p01 - p00)        var  sum p(1-p)/n
@@ -14,9 +15,13 @@ identity variance degenerates to 0 is counted separately, never folded into
 either tally.
 
 Each statistic combines per-cell terms, and a cell's count is an integer in
-[0, n], so a chunk of replicates evaluates the terms once per distinct count.
-Replicates are distributed over fixed-size chunks with counter-based seeding
-(:mod:`effectgeom.mc`), so results are reproducible for any worker count.
+[0, n].  So each query builds, per cell, the alias table (Walker 1977, as Vose
+1991 builds it) and the terms of every count in [0, n], and a chunk maps each
+uniform straight to its count's column of terms.  A cell with n + 1 above
+`ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk evaluates the
+terms once per distinct count it drew.  Replicates are distributed over
+fixed-size chunks with counter-based seeding (:mod:`effectgeom.mc`), so
+results are reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -43,6 +48,13 @@ _MAX_CELL = 2**63 - 1  # numpy draws binomial cells as int64
 #: twenty 262144-replicate queries at 2 workers, 16384 rows ran 2-14% faster
 #: but peaked at 51.2-51.6 MB RSS against 44.9-48.1, so it stays 4096.
 BLOCK_ROWS = 4096
+
+#: Most counts n + 1 a cell draws through an alias table; wider cells draw
+#: `rng.binomial`.  The tables are Python loops, about 1.3 us per count and
+#: cell: at 2 workers on a 2-vCPU Xeon they cut a 262144-replicate query from
+#: 84 to 35 ms at n = 1000, but cost more than they save past about 2000
+#: counts (60 against 43 ms at n = 4095, 363 against 39 at n = 65535).
+ALIAS_COUNTS = 1024
 
 
 @dataclass(frozen=True)
@@ -171,9 +183,68 @@ def simulate_dataset(truth: RiskTable, design: StudyDesign, seed: int) -> CellCo
     return CellCounts(*events, *design.as_tuple())
 
 
+def _alias_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table of the Binomial(n, p) pmf over [0, n]: (accept, alias).
+
+    The pmf is built in log space with scalar `math`, not numpy ufuncs, so
+    the table, and so every count drawn through it, is the same at any SIMD
+    level.  Entries the pairing leaves over keep accept 1 and alias k.
+    """
+    m = n + 1
+    log_c = math.lgamma(m)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    pmf = [math.exp(log_c - math.lgamma(k + 1) - math.lgamma(m - k) + k * log_p + (n - k) * log_q)
+           for k in range(m)]
+    scale = m / math.fsum(pmf)
+    prob = [q * scale for q in pmf]
+    accept, alias = [1.0] * m, list(range(m))
+    small = [k for k in range(m) if prob[k] < 1.0]
+    large = [k for k in range(m) if prob[k] >= 1.0]
+    while small and large:
+        k, j = small.pop(), large[-1]
+        accept[k], alias[k] = prob[k], j
+        prob[j] = (prob[j] + prob[k]) - 1.0
+        if prob[j] < 1.0:
+            small.append(large.pop())
+    return np.array(accept), np.array(alias)
+
+
+def _draw_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """A cell's per-query tables for `_alias_columns`, or None where n + 1 > `ALIAS_COUNTS`.
+
+    (accept, terms): the alias table's accept probabilities, and a (6, 2m)
+    table whose column 2k + 1 holds `_cell_terms` of count k and column 2k
+    those of alias[k].
+    """
+    if n + 1 > ALIAS_COUNTS:
+        return None
+    accept, alias = _alias_table(n, p)
+    terms = _cell_terms(np.arange(n + 1), float(n))
+    return accept, np.stack([terms[:, alias], terms], axis=2).reshape(6, -1)
+
+
+def _alias_columns(accept: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The terms-table column of the count each uniform in ``u`` draws; overwrites ``u``.
+
+    With m = accept.size, x = u m splits into k = floor(x) and a coin
+    x - k; the count is k where the coin is below accept[k], else alias[k],
+    and its column in the `_draw_tables` terms is 2k + coin.  For u < 1 and
+    an integer m up to 2**53, u m rounds to below m, so k lies in [0, m - 1]
+    with no clip.  The coin resolves at least 53 - ceil(log2 m) bits: 43 at
+    m = `ALIAS_COUNTS` = 2**10, about 37 at m = 2**16.  Columns are int32,
+    half the uniforms' memory.
+    """
+    u *= accept.size
+    k = u.astype(np.int32)
+    u -= k
+    coin = u < accept.take(k)
+    k <<= 1
+    k += coin
+    return k
+
+
 def _chunk_tallies(
-    truth_cells: tuple[float, float, float, float],
-    design_cells: tuple[int, int, int, int],
+    cells: tuple[tuple[int, float, tuple | None], ...],
     z_crit: float,
     seed: int,
     index: int,
@@ -181,24 +252,33 @@ def _chunk_tallies(
 ) -> np.ndarray:
     """Per-chunk [rejected, degenerate] pairs for each scale, as a flat array.
 
-    Each cell is drawn whole, in cell order 00, 01, 10, 11, since drawing it
-    in blocks would change the stream; blocks gather its tabulated `_cell_terms`.
+    ``cells`` holds (n, p, `_draw_tables`) per cell.  Each cell is drawn
+    whole, in cell order 00, 01, 10, 11, since drawing it in blocks would
+    change the stream: one uniform per replicate, mapped at once to its
+    terms column, where the cell has tables, else `rng.binomial`.  Blocks
+    gather the terms.
     """
     rng = mc.chunk_rng(seed, index)
-    cells = [rng.binomial(n, p, size=size) for n, p in zip(design_cells, truth_cells)]
-    lookups = []  # per cell: a block's drawn counts -> their (6, rows) terms
-    for c, n in zip(cells, design_cells):
+    draws, lookups = [], []  # per cell: a column or count per replicate, and a block's -> terms
+    for n, p, tables in cells:
+        if tables is not None:
+            accept, terms = tables
+            draws.append(_alias_columns(accept, rng.random(size)))
+            lookups.append(functools.partial(np.take, terms, axis=1))
+            continue
+        c = rng.binomial(n, p, size=size)
         lo, hi = int(c.min()), int(c.max())
-        if hi - lo < size:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
+        if hi - lo < BLOCK_ROWS:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
             table = _cell_terms(lo + np.arange(hi - lo + 1), float(n))
             c -= lo
             lookups.append(functools.partial(np.take, table, axis=1))
-        else:  # a table of the range would outgrow the chunk, such as at n = 2**62
+        else:  # a table of the range would outgrow a block's terms, such as at n = 2**62
             lookups.append(functools.partial(_cell_terms, totals=float(n)))
+        draws.append(c)
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, size, BLOCK_ROWS):
-            terms = (f(c[start : start + BLOCK_ROWS]) for f, c in zip(lookups, cells))
+            terms = (f(d[start : start + BLOCK_ROWS]) for f, d in zip(lookups, draws))
             for i, (est, var) in enumerate(_combine(*terms)):  # frees the terms it read
                 valid = var > 0.0
                 out[2 * i] += np.count_nonzero(valid & (np.abs(est / np.sqrt(var)) > z_crit))
@@ -228,10 +308,9 @@ def simulate_power(
     reps = mc.check_int("reps", reps, 1, mc.MAX_COUNT)
     seed = mc.check_seed(seed)
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    truth_cells = (truth.p00, truth.p01, truth.p10, truth.p11)
-    totals = mc.run_chunked(
-        _chunk_tallies, (truth_cells, design.as_tuple(), z_crit, seed), reps, workers
-    )
+    probs = (truth.p00, truth.p01, truth.p10, truth.p11)
+    cells = tuple((n, p, _draw_tables(n, p)) for n, p in zip(design.as_tuple(), probs))
+    totals = mc.run_chunked(_chunk_tallies, (cells, z_crit, seed), reps, workers)
     by_scale: dict[str, ScalePower] = {}
     for i, scale in enumerate(SCALES):
         rejected = int(totals[2 * i])

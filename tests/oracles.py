@@ -6,7 +6,8 @@ scans instead of completion formulas, straight-line scalar arithmetic
 instead of vectorized kernels, a closed-form contrast floor with an exact
 recount and a quadrature instead of Monte Carlo, 50-digit bisection of the
 contrast instead of the package's quadratic roots, an enumeration of every
-outcome instead of simulated power, and 50-digit logit and expit.  Nothing
+outcome instead of simulated power, 50-digit logit and expit, and a 50-digit
+binomial pmf instead of the alias tables' log-space one.  Nothing
 here imports `effectgeom.coords`.
 Production code must agree with them within the stated tolerances.
 """
@@ -342,6 +343,21 @@ def exact_power_rates(truth, design, alpha: float) -> dict[str, float]:
             if straight_line_wald(events, design, scale) < alpha:
                 rejected[scale] += w
     return {scale: rejected[scale] / valid[scale] for scale in scales}
+
+
+def decimal_binomial_pmf(n: int, p: float) -> list[Decimal]:
+    """Binomial(n, p) pmf of the float p over [0, n], in `DIGITS`-digit decimal.
+
+    Starts from (1 - p)^n and steps by the ratio (n - k) p / ((k + 1)(1 - p)).
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        d = Decimal(p)
+        odds = d / (1 - d)
+        pmf = [(1 - d) ** n]
+        for k in range(n):
+            pmf.append(pmf[-1] * (n - k) * odds / (k + 1))
+        return pmf
 
 
 def decimal_logit(p: float) -> Decimal:

@@ -235,9 +235,9 @@ class TestGoldenOutputs:
         )
         assert p.stdout == (
             "scale,n_pattern,alpha,reps,rejection_rate,std_error,degenerate_count\n"
-            "identity,100/100/100/100,0.05,2000,0.0505,0.00489641450451246,0\n"
-            "log,100/100/100/100,0.05,2000,0.0485,0.004803527349771208,0\n"
-            "logit,100/100/100/100,0.05,2000,0.0505,0.00489641450451246,0\n"
+            "identity,100/100/100/100,0.05,2000,0.045,0.004635461142108733,0\n"
+            "log,100/100/100/100,0.05,2000,0.0445,0.004610843198374892,0\n"
+            "logit,100/100/100/100,0.05,2000,0.0455,0.004659922209651144,0\n"
         )
 
     def test_convert_json(self):

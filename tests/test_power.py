@@ -204,16 +204,23 @@ class TestExactRates:
             ((0.2, 0.35, 0.2, 0.35), (10, 10, 10, 10)),  # strata equal: null on every scale
             ((0.2, 0.35, 0.3, 0.6), (10, 10, 10, 10)),
             ((0.3, 0.5, 0.4, 0.6), (3, 5, 4, 6)),
+            # n = 1 cells beside guard-edge risks, where boundary counts are common
+            ((1e-12, 0.4, 0.5, 1 - 1e-12), (1, 4, 3, 1)),
+            ((0.3, 1e-12, 0.6, 0.45), (2, 5, 1, 3)),
+            ((1 - 1e-12, 0.2, 1e-12, 0.7), (1, 2, 6, 1)),
         ],
     )
     def test_rates_within_4_se_of_exact(self, truth, design):
         exact = oracles.exact_power_rates(truth, design, 0.05)
-        res = simulate_power(RiskTable(*truth), StudyDesign(*design), 0.05, reps=100_000, seed=1)
-        for scale in SCALES:
-            sp = res.by_scale[scale]
-            valid = res.reps - sp.n_degenerate
-            se = math.sqrt(exact[scale] * (1.0 - exact[scale]) / valid)
-            assert abs(sp.rate - exact[scale]) <= 4.0 * se, (scale, sp.rate, exact[scale])
+        for seed in (1, 2, 3):
+            res = simulate_power(
+                RiskTable(*truth), StudyDesign(*design), 0.05, reps=100_000, seed=seed
+            )
+            for scale in SCALES:
+                sp = res.by_scale[scale]
+                valid = res.reps - sp.n_degenerate
+                se = math.sqrt(exact[scale] * (1.0 - exact[scale]) / valid)
+                assert abs(sp.rate - exact[scale]) <= 4.0 * se, (seed, scale, sp.rate, exact[scale])
 
 
 B = power.BLOCK_ROWS
@@ -235,17 +242,84 @@ def _frozen_wald(events, totals):
     return [identity, log, (lo[3] - lo[2] - lo[1] + lo[0], var)]
 
 
+def _cells(truth, design):
+    """`_chunk_tallies`'s per-cell (n, p, tables), as `simulate_power` builds them."""
+    return tuple((n, p, power._draw_tables(n, p)) for n, p in zip(design, truth))
+
+
+def _frozen_draw(rng, n, p, size):
+    """One cell's chunk of counts as `_chunk_tallies` draws them, one replicate at a time.
+
+    A cell with n + 1 <= `ALIAS_COUNTS` maps each uniform u through its
+    alias table, with the count k = floor(u (n + 1)) kept where the rest
+    u (n + 1) - k is below accept[k]; a wider cell draws `rng.binomial`.
+    """
+    if n + 1 > power.ALIAS_COUNTS:
+        return rng.binomial(n, p, size=size)
+    accept, alias = (t.tolist() for t in power._alias_table(n, p))
+    counts = []
+    for u in rng.random(size).tolist():
+        x = u * (n + 1)
+        k = int(x)
+        counts.append(k if x - k < accept[k] else alias[k])
+    return np.array(counts)
+
+
 _E = 1e-12
 _TRUTHS = ((0.2, 0.35, 0.2, 0.35), (0.2, 0.35, 0.3, 0.6), (_E, 1 - _E, 1 - _E, _E))
 
 # The benchmark's four designs and (3, 5, 4, 6), in an order that keeps the
-# first two test ids; then n = 1 cells, and 2**62 cells, whose drawn range
-# outgrows the chunk except at the guard-edge risks and in a chunk of one
+# first two test ids; then n = 1 cells; 2**62 cells, whose drawn range
+# outgrows a block except in a chunk of one; and cells either side of
+# `ALIAS_COUNTS`, drawn by `rng.binomial` past it over a range narrower than a block
 _DESIGNS = [
     (10, 10, 10, 10), (3, 5, 4, 6),
     (100, 100, 100, 100), (1000, 1000, 1000, 1000), (40, 160, 25, 400),
     (1, 1, 1, 1), (1, 7, 1, 2), (2**62, 10, 1, 2**62),
+    (power.ALIAS_COUNTS - 1, power.ALIAS_COUNTS, 4095, 1),
 ]
+
+
+class TestAliasDraw:
+    """Each cell's alias table, and the map from a uniform to a count's terms."""
+
+    @pytest.mark.parametrize("p", [_E, 0.35, 1 - _E])
+    @pytest.mark.parametrize("n", [1, 10, 1000, mc.CHUNK_SIZE - 1])
+    def test_table_matches_the_decimal_pmf(self, n, p):
+        # count k is drawn with probability accept[k] / m, plus (1 - accept[j]) / m
+        # for every j aliased to k.  lgamma's cancellation costs up to about
+        # 2e-10 of the pmf at n = 2**16, and the pairing's rounding at the scale
+        # of m falls on the large entries: at most 1.3e-14 of one here.
+        accept, alias = power._alias_table(n, p)
+        m = n + 1
+        assert accept.shape == alias.shape == (m,)
+        assert ((0.0 <= accept) & (accept <= 1.0)).all()
+        assert ((0 <= alias) & (alias < m)).all()
+        implied = accept / m + np.bincount(alias, weights=(1.0 - accept) / m, minlength=m)
+        exact = np.array([float(q) for q in oracles.decimal_binomial_pmf(n, p)])
+        assert (np.abs(implied - exact) <= 1e-9 * exact + 1e-15).all()
+
+    def test_uniform_edges_map_into_the_support(self):
+        # u m < m for the largest u below 1 at every table size, so k needs no clip
+        m = np.arange(2, mc.CHUNK_SIZE + 1)
+        for u in (0.0, np.nextafter(1.0, 0.0)):
+            k = (u * m).astype(np.intp)
+            assert ((0 <= k) & (k < m)).all(), u
+        for size in (2, 3, 1000, mc.CHUNK_SIZE - 1, mc.CHUNK_SIZE):
+            for coin in (0, 1):  # every coin is alias, then every coin is k
+                u = np.array([0.0, np.nextafter(1.0, 0.0)])
+                got = power._alias_columns(np.full(size, float(coin)), u)
+                assert got.tolist() == [coin, 2 * (size - 1) + coin], (size, coin)
+
+    def test_tables_stop_at_the_cap(self):
+        assert power._draw_tables(power.ALIAS_COUNTS - 1, 0.35) is not None
+        assert power._draw_tables(power.ALIAS_COUNTS, 0.35) is None
+        accept, terms = power._draw_tables(10, 0.35)
+        _, alias = power._alias_table(10, 0.35)
+        direct = power._cell_terms(np.arange(11), 10.0)
+        assert terms.shape == (6, 22)
+        assert terms[:, 1::2].tobytes() == direct.tobytes()
+        assert terms[:, 0::2].tobytes() == direct[:, alias].tobytes()
 
 
 class TestChunkBlocking:
@@ -261,14 +335,14 @@ class TestChunkBlocking:
         for k, truth in enumerate(_TRUTHS):
             seed, index = 17 + k, 2 + 3 * k
             rng = mc.chunk_rng(seed, index)
-            events = np.stack([rng.binomial(n, p, size=size) for n, p in zip(design, truth)])
+            events = np.stack([_frozen_draw(rng, n, p, size) for n, p in zip(design, truth)])
             want = []
             with np.errstate(divide="ignore", invalid="ignore"):
                 for est, var in _frozen_wald(events, np.array(design, dtype=float)[:, None]):
                     valid = var > 0.0
                     want += [int((valid & (np.abs(est / np.sqrt(var)) > z_crit)).sum()),
                              int((~valid).sum())]
-            got = power._chunk_tallies(truth, design, z_crit, seed, index, size)
+            got = power._chunk_tallies(_cells(truth, design), z_crit, seed, index, size)
             assert got.tolist() == want, truth
 
     @pytest.mark.parametrize("design", _DESIGNS)
@@ -293,25 +367,26 @@ class TestChunkBlocking:
 
 
 # Peak memory of one whole-chunk `_chunk_tallies` call, in block-length
-# float64 arrays: each measured value (numpy 2.4) rounded up to a quarter.  The
-# four drawn cells hold 64 of them, and the kernel it replaced peaked at 103.75
-# on every design here.  A cell's terms are tabulated only while its drawn
-# range is narrower than the chunk, so 2**62 cells stay bounded; the peak is
-# highest at the guard-edge risks, where each cell tabulates about 2 * 10**4
-# counts.
+# float64 arrays (numpy 2.4); the per-query tables are built outside the call.
+# The benchmark designs keep the pins of the binomial draw with per-chunk
+# tables, each measured value rounded up to a quarter; their cells' int32
+# columns hold 32 arrays, and they now peak at 80.06.  Four binomial cells'
+# counts hold 64.  A 2**62 cell's drawn range is tabulated only while it is
+# narrower than a block, so at the guard-edge risks, where it spans about
+# 2 * 10**4 counts, each block evaluates the terms of its counts instead.
 _CHUNK_PEAKS = [
     ((10, 10, 10, 10), _TRUTHS[1], 97.5),
     ((100, 100, 100, 100), _TRUTHS[1], 97.75),
     ((1000, 1000, 1000, 1000), _TRUTHS[1], 98.25),
     ((40, 160, 25, 400), _TRUTHS[1], 97.75),
     ((2**62,) * 4, _TRUTHS[1], 98.5),
-    ((2**62,) * 4, _TRUTHS[2], 217.0),
+    ((2**62,) * 4, _TRUTHS[2], 98.5),
 ]
 
 
 @pytest.mark.parametrize("design, truth, arrays", _CHUNK_PEAKS)
 def test_chunk_temporaries_stay_pinned(design, truth, arrays):
-    args = (truth, design, 1.959964, 31, 0, mc.CHUNK_SIZE)
+    args = (_cells(truth, design), 1.959964, 31, 0, mc.CHUNK_SIZE)
     power._chunk_tallies(*args)  # warm numpy's caches
     tracemalloc.start()
     try:
