@@ -224,7 +224,13 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
 
 
 def cmd_volume(args) -> tuple:
-    if args.config:
+    prior_flags = ("system", "target", "n_samples", "seed", "bounds")
+    given = [f"--{f.replace('_', '-')}" for f in prior_flags if getattr(args, f) is not None]
+    if args.config is not None:
+        if given:
+            raise ConfigError(
+                f"--config sets the prior and targets and clashes with {', '.join(given)}"
+            )
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -234,9 +240,9 @@ def cmd_volume(args) -> tuple:
     else:
         if not args.target:
             raise ConfigError("at least one --target is required without --config")
-        bounds = _parse_bounds(args.bounds, "--bounds") if args.bounds else None
-        keys = {"system": args.system, "n_samples": args.n_samples, "seed": args.seed,
-                "bounds": bounds}
+        defaults = {"system": "prob", "n_samples": 100_000, "seed": 0}
+        keys = {k: v if getattr(args, k) is None else getattr(args, k) for k, v in defaults.items()}
+        keys["bounds"] = None if args.bounds is None else _parse_bounds(args.bounds, "--bounds")
         targets = [t.lower() for t in args.target]
     prior = volume.PriorSpec(**keys)
     rows = []
@@ -379,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="Monte Carlo compatibility probability")
     p.add_argument("--config", help="path to a prior configuration document")
-    p.add_argument("--system", choices=tuple(COMPAT_SYSTEMS), default="prob")
+    p.add_argument("--system", choices=tuple(COMPAT_SYSTEMS))
     p.add_argument("--target", action="append", choices=MEASURES, help="repeatable")
-    p.add_argument("--n-samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--bounds", help='three low:high pairs, e.g. "0:1,0:1,0:1"')
     p.add_argument("--workers", type=int, default=1)
     _add_format(p)

@@ -8,6 +8,7 @@ aggregation is a sum of per-chunk integer counts.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +38,14 @@ def check_int(name: str, value, low: int, high: int) -> int:
 def check_seed(seed) -> int:
     """The seed as an int; it must be an unsigned 64-bit integer."""
     return check_int("seed", seed, 0, 2**64 - 1)
+
+
+def proportion(k: int, n: int) -> tuple[float, float]:
+    """k / n and its binomial standard error sqrt(p(1 - p) / n); (0.0, 0.0) at n = 0."""
+    if n == 0:
+        return 0.0, 0.0
+    p = k / n
+    return p, math.sqrt(p * (1.0 - p) / n)
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:

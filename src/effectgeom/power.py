@@ -16,12 +16,13 @@ either tally.
 
 Each statistic combines per-cell terms, and a cell's count is an integer in
 [0, n].  So each query builds, per cell, the alias table (Walker 1977, as Vose
-1991 builds it) and the terms of every count in [0, n], and a chunk maps each
-uniform straight to its count's column of terms.  A cell with n + 1 above
-`ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk evaluates the
-terms once per distinct count it drew.  Replicates are distributed over
-fixed-size chunks with counter-based seeding (:mod:`effectgeom.mc`), so
-results are reproducible for any worker count.
+1991 builds it) and the terms of each count the alias table can yield, and a
+chunk maps each uniform straight to its column of terms.  A cell with n + 1
+above `ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk
+evaluates the terms once per distinct count it drew.  Replicates are
+distributed over fixed-size chunks with counter-based seeding
+(:mod:`effectgeom.mc`), so results are reproducible for any worker count.
+`simulate_dataset` is the same draw at one replicate.
 """
 
 from __future__ import annotations
@@ -175,14 +176,6 @@ def wald_interaction_pvalue(counts: CellCounts, scale: str) -> float:
     return math.erfc(abs(est / se) / math.sqrt(2.0))
 
 
-def simulate_dataset(truth: RiskTable, design: StudyDesign, seed: int) -> CellCounts:
-    """One canonical dataset: four scalar binomial draws in (v, a) cell order."""
-    rng = mc.chunk_rng(mc.check_seed(seed), 0)
-    probs = (truth.p00, truth.p01, truth.p10, truth.p11)
-    events = [int(rng.binomial(n, p)) for n, p in zip(design.as_tuple(), probs)]
-    return CellCounts(*events, *design.as_tuple())
-
-
 def _alias_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Vose's alias table of the Binomial(n, p) pmf over [0, n]: (accept, alias).
 
@@ -209,18 +202,24 @@ def _alias_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(accept), np.array(alias)
 
 
-def _draw_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """A cell's per-query tables for `_alias_columns`, or None where n + 1 > `ALIAS_COUNTS`.
+def _draw_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A cell's per-query tables for `_draw`, or None where n + 1 > `ALIAS_COUNTS`.
 
-    (accept, terms): the alias table's accept probabilities, and a (6, 2m)
-    table whose column 2k + 1 holds `_cell_terms` of count k and column 2k
-    those of alias[k].
+    (accept, counts, terms): the alias table's accept probabilities, the
+    count of each column, and the (6, 2m) `_cell_terms` of those counts.
+    Column 2k + 1 holds count k and column 2k alias[k].
     """
     if n + 1 > ALIAS_COUNTS:
         return None
     accept, alias = _alias_table(n, p)
-    terms = _cell_terms(np.arange(n + 1), float(n))
-    return accept, np.stack([terms[:, alias], terms], axis=2).reshape(6, -1)
+    counts = np.column_stack((alias, np.arange(n + 1))).ravel()
+    return accept, counts, _cell_terms(counts, float(n))
+
+
+def _cells(truth: RiskTable, design: StudyDesign) -> tuple[tuple[int, float, tuple | None], ...]:
+    """Each cell's (n, p, `_draw_tables`), in (v, a) cell order."""
+    probs = (truth.p00, truth.p01, truth.p10, truth.p11)
+    return tuple((n, p, _draw_tables(n, p)) for n, p in zip(design.as_tuple(), probs))
 
 
 def _alias_columns(accept: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -243,6 +242,13 @@ def _alias_columns(accept: np.ndarray, u: np.ndarray) -> np.ndarray:
     return k
 
 
+def _draw(rng: np.random.Generator, n: int, p: float, tables, size: int) -> np.ndarray:
+    """``size`` draws of one cell: `_alias_columns` of uniforms, or `rng.binomial` counts."""
+    if tables is None:
+        return rng.binomial(n, p, size=size)
+    return _alias_columns(tables[0], rng.random(size))
+
+
 def _chunk_tallies(
     cells: tuple[tuple[int, float, tuple | None], ...],
     z_crit: float,
@@ -252,21 +258,18 @@ def _chunk_tallies(
 ) -> np.ndarray:
     """Per-chunk [rejected, degenerate] pairs for each scale, as a flat array.
 
-    ``cells`` holds (n, p, `_draw_tables`) per cell.  Each cell is drawn
-    whole, in cell order 00, 01, 10, 11, since drawing it in blocks would
-    change the stream: one uniform per replicate, mapped at once to its
-    terms column, where the cell has tables, else `rng.binomial`.  Blocks
-    gather the terms.
+    ``cells`` is `_cells`.  Each cell is drawn whole by `_draw`, in cell
+    order 00, 01, 10, 11, since drawing it in blocks would change the
+    stream.  Blocks gather the terms.
     """
     rng = mc.chunk_rng(seed, index)
     draws, lookups = [], []  # per cell: a column or count per replicate, and a block's -> terms
     for n, p, tables in cells:
+        c = _draw(rng, n, p, tables, size)
+        draws.append(c)
         if tables is not None:
-            accept, terms = tables
-            draws.append(_alias_columns(accept, rng.random(size)))
-            lookups.append(functools.partial(np.take, terms, axis=1))
+            lookups.append(functools.partial(np.take, tables[2], axis=1))
             continue
-        c = rng.binomial(n, p, size=size)
         lo, hi = int(c.min()), int(c.max())
         if hi - lo < BLOCK_ROWS:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
             table = _cell_terms(lo + np.arange(hi - lo + 1), float(n))
@@ -274,7 +277,6 @@ def _chunk_tallies(
             lookups.append(functools.partial(np.take, table, axis=1))
         else:  # a table of the range would outgrow a block's terms, such as at n = 2**62
             lookups.append(functools.partial(_cell_terms, totals=float(n)))
-        draws.append(c)
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, size, BLOCK_ROWS):
@@ -308,15 +310,21 @@ def simulate_power(
     reps = mc.check_int("reps", reps, 1, mc.MAX_COUNT)
     seed = mc.check_seed(seed)
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    probs = (truth.p00, truth.p01, truth.p10, truth.p11)
-    cells = tuple((n, p, _draw_tables(n, p)) for n, p in zip(design.as_tuple(), probs))
-    totals = mc.run_chunked(_chunk_tallies, (cells, z_crit, seed), reps, workers)
+    totals = mc.run_chunked(_chunk_tallies, (_cells(truth, design), z_crit, seed), reps, workers)
     by_scale: dict[str, ScalePower] = {}
     for i, scale in enumerate(SCALES):
         rejected = int(totals[2 * i])
         degenerate = int(totals[2 * i + 1])
-        valid = reps - degenerate
-        rate = rejected / valid if valid > 0 else 0.0
-        se = math.sqrt(rate * (1.0 - rate) / valid) if valid > 0 else 0.0
+        rate, se = mc.proportion(rejected, reps - degenerate)
         by_scale[scale] = ScalePower(rate, se, rejected, degenerate)
     return PowerResult(alpha=alpha, reps=reps, by_scale=by_scale)
+
+
+def simulate_dataset(truth: RiskTable, design: StudyDesign, seed: int) -> CellCounts:
+    """The dataset ``simulate_power(truth, design, alpha, 1, seed)`` tests, in (v, a) cell order."""
+    rng = mc.chunk_rng(mc.check_seed(seed), 0)
+    events = []
+    for n, p, tables in _cells(truth, design):
+        (d,) = _draw(rng, n, p, tables, 1)
+        events.append(int(d if tables is None else tables[1][d]))
+    return CellCounts(*events, *design.as_tuple())

@@ -123,10 +123,9 @@ def estimate(prior: PriorSpec, target: str, workers: int = 1) -> VolumeEstimate:
     check_supported(prior.system, target)
     total = mc.run_chunked(_chunk_counts, (prior, target), prior.n_samples, workers)
     n_compatible = int(total[0])
-    n = prior.n_samples
-    p = n_compatible / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return VolumeEstimate(probability=p, std_error=se, n_samples=n, n_compatible=n_compatible)
+    p, se = mc.proportion(n_compatible, prior.n_samples)
+    return VolumeEstimate(probability=p, std_error=se, n_samples=prior.n_samples,
+                          n_compatible=n_compatible)
 
 
 def exact_probability(prior: PriorSpec, target: str) -> Fraction | None:

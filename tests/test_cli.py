@@ -4,6 +4,8 @@ import io
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +55,28 @@ class TestExitCodes:
         named = ", ".join(cells[::2])
         assert out == {"code": 2, "stdout": "",
                        "stderr": f"error: --n sets every cell and clashes with {named}\n"}
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--system", "rr_eta", "--target", "or", "--seed", "5"], "--system, --target, --seed"),
+            (["--n-samples", "10"], "--n-samples"),
+            (["--seed", "0"], "--seed"),  # a default value given is still given
+            (["--bounds", "0:1,0:1,0:1"], "--bounds"),
+        ],
+    )
+    def test_volume_config_with_a_prior_flag_is_2(self, tmp_path, flags, named):
+        # the file used to win silently over the flags
+        (tmp_path / "run.cfg").write_text(_GOLDEN_CONFIG)
+        out = _run_in_process(["volume", "--config", str(tmp_path / "run.cfg"), *flags])
+        assert out == {"code": 2, "stdout": "", "stderr":
+                       f"error: --config sets the prior and targets and clashes with {named}\n"}
+
+    def test_volume_empty_bounds_is_2(self):
+        # an empty --bounds used to run the default box
+        out = _run_in_process(["volume", "--target", "rr", "--n-samples", "10", "--bounds", ""])
+        assert out == {"code": 2, "stdout": "",
+                       "stderr": "error: --bounds: bound '' is not of the form low:high\n"}
 
     def test_success_is_0(self):
         assert run("feasible", "--p00", ".5", "--p10", ".5", "--p01", ".5", "--measure", "rr").returncode == 0
@@ -327,6 +351,30 @@ def _run_in_process(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _readme_commands():
+    """[argv, the stdout its ``# ->`` line shows or None] per command in the README's sh blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("effectgeom "):
+                commands.append([shlex.split(line)[1:], None])
+            elif line.startswith("# -> "):
+                commands[-1][1] = line.removeprefix("# -> ") + "\n"
+    return commands
+
+
+def test_readme_commands_run():
+    commands = _readme_commands()
+    assert [argv[0] for argv, _ in commands] == [
+        "measures", "feasible", "volume", "volume", "power", "convert"]
+    for argv, shown in commands:
+        out = _run_in_process(argv)
+        assert out["code"] == 0, (argv, out["stderr"])
+        assert shown is None or out["stdout"] == shown, argv
+    assert any(shown for _, shown in commands)
 
 
 class TestConvertRoundTrip:

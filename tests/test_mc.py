@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -19,6 +20,13 @@ class TestChunkLayout:
 
     def test_small(self):
         assert mc.chunk_layout(10) == [(0, 10)]
+
+
+def test_proportion():
+    assert mc.proportion(3, 4) == (0.75, math.sqrt(0.75 * 0.25 / 4))
+    assert mc.proportion(5, 5) == (1.0, 0.0)
+    assert mc.proportion(0, 5) == (0.0, 0.0)
+    assert mc.proportion(0, 0) == (0.0, 0.0)  # every replicate degenerate
 
 
 class TestChunkRng:

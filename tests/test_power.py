@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -99,20 +100,19 @@ class TestWaldStatistic:
 class TestFrozenFixture:
     """Seed-0 dataset from the constant-0.3 table, n = 200 per cell.
 
-    Event counts and all three p-values were computed by a straight-line
-    script before the simulator was written and are frozen here.
+    The p-values were computed by a straight-line script before the simulator
+    was written, on that script's counts (58, 61, 68, 71), and are frozen here.
     """
 
     def test_dataset(self):
-        ds = simulate_dataset(
-            RiskTable(0.3, 0.3, 0.3, 0.3), StudyDesign(200, 200, 200, 200), seed=0
-        )
-        assert ds.events() == (58, 61, 68, 71)
+        truth, design = (0.3,) * 4, (200,) * 4
+        ds = simulate_dataset(RiskTable(*truth), StudyDesign(*design), seed=0)
+        assert ds.events() == (61, 54, 51, 50)
+        rng = mc.chunk_rng(0, 0)
+        assert ds.events() == tuple(_frozen_draw(rng, n, p, 1)[0] for n, p in zip(design, truth))
 
     def test_pvalues(self):
-        ds = simulate_dataset(
-            RiskTable(0.3, 0.3, 0.3, 0.3), StudyDesign(200, 200, 200, 200), seed=0
-        )
+        ds = CellCounts(58, 61, 68, 71, 200, 200, 200, 200)
         assert wald_interaction_pvalue(ds, "identity") == pytest.approx(
             0.9999999999999993, abs=1e-15
         )
@@ -243,8 +243,8 @@ def _frozen_wald(events, totals):
 
 
 def _cells(truth, design):
-    """`_chunk_tallies`'s per-cell (n, p, tables), as `simulate_power` builds them."""
-    return tuple((n, p, power._draw_tables(n, p)) for n, p in zip(design, truth))
+    """`power._cells` of a truth and a design given as 4-tuples."""
+    return power._cells(RiskTable(*truth), StudyDesign(*design))
 
 
 def _frozen_draw(rng, n, p, size):
@@ -314,12 +314,39 @@ class TestAliasDraw:
     def test_tables_stop_at_the_cap(self):
         assert power._draw_tables(power.ALIAS_COUNTS - 1, 0.35) is not None
         assert power._draw_tables(power.ALIAS_COUNTS, 0.35) is None
-        accept, terms = power._draw_tables(10, 0.35)
+        accept, counts, terms = power._draw_tables(10, 0.35)
         _, alias = power._alias_table(10, 0.35)
+        assert counts.tolist()[1::2] == list(range(11))
+        assert counts.tolist()[0::2] == alias.tolist()
         direct = power._cell_terms(np.arange(11), 10.0)
         assert terms.shape == (6, 22)
         assert terms[:, 1::2].tobytes() == direct.tobytes()
         assert terms[:, 0::2].tobytes() == direct[:, alias].tobytes()
+
+
+class TestOneReplicate:
+    """`simulate_power` at one replicate tests exactly `simulate_dataset`'s dataset."""
+
+    @pytest.mark.parametrize("truth", _TRUTHS[1:])
+    @pytest.mark.parametrize(
+        "design",
+        [(10, 10, 10, 10), (1, 7, 1, 2), (40, 160, 25, 400),
+         (power.ALIAS_COUNTS - 1, power.ALIAS_COUNTS, 4095, 1), (2**62, 10, 1, 2**62)],
+    )
+    def test_tallies_are_wald_interaction_on_the_dataset(self, design, truth):
+        z_crit = NormalDist().inv_cdf(1.0 - 0.05 / 2.0)
+        truth, design = RiskTable(*truth), StudyDesign(*design)
+        for seed in range(200):
+            res = simulate_power(truth, design, 0.05, reps=1, seed=seed)
+            ds = simulate_dataset(truth, design, seed)
+            for scale in SCALES:
+                try:
+                    est, se = wald_interaction(ds, scale)
+                    want = (int(abs(est / se) > z_crit), 0)
+                except DegenerateCountsError:
+                    want = (0, 1)
+                got = res.by_scale[scale]
+                assert (got.n_rejected, got.n_degenerate) == want, (seed, scale, ds.events())
 
 
 class TestChunkBlocking:
