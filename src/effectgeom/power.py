@@ -17,18 +17,20 @@ either tally.
 Each statistic combines per-cell terms, and a cell's count is an integer in
 [0, n].  So each query builds, per cell, the alias table (Walker 1977, as Vose
 1991 builds it) and the terms of each count the alias table can yield, and a
-chunk maps each uniform straight to its column of terms.  A cell with n + 1
-above `ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk
-evaluates the terms once per distinct count it drew.  Replicates are
-distributed over fixed-size chunks with counter-based seeding
-(:mod:`effectgeom.mc`), so results are reproducible for any worker count.
-`simulate_dataset` is the same draw at one replicate.
+chunk maps each uniform straight to its column of terms, then builds one
+scale's statistic at a time from 1-D gathers of those columns.  A cell with
+n + 1 above `ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk
+evaluates the terms once per distinct count it drew, or per replicate where
+they span too wide a range.  Replicates are distributed over fixed-size chunks
+with counter-based seeding (:mod:`effectgeom.mc`), so results are
+reproducible for any worker count.  `simulate_dataset` is the same draw at
+one replicate.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -45,10 +47,13 @@ _CELLS = ("00", "01", "10", "11")  # (v, a) order used for all 4-vectors
 
 _MAX_CELL = 2**63 - 1  # numpy draws binomial cells as int64
 
-#: Rows each block gathers and combines; tallies do not depend on it.  On
-#: twenty 262144-replicate queries at 2 workers, 16384 rows ran 2-14% faster
-#: but peaked at 51.2-51.6 MB RSS against 44.9-48.1, so it stays 4096.
-BLOCK_ROWS = 4096
+#: Rows each block gathers and combines; tallies do not depend on it.  A block
+#: holds about four block-length arrays, so it is sized for numpy's call cost.
+BLOCK_ROWS = 32768
+
+#: Block rows where a cell's (6, rows) terms are evaluated per replicate, and
+#: the widest drawn range a binomial cell tabulates instead.
+EVAL_ROWS = 4096
 
 #: Most counts n + 1 a cell draws through an alias table; wider cells draw
 #: `rng.binomial`.  The tables are Python loops, about 1.3 us per count and
@@ -139,14 +144,26 @@ def _cell_terms(events: np.ndarray, totals) -> np.ndarray:
     ])
 
 
-def _combine(t00, t01, t10, t11) -> list[tuple[np.ndarray, np.ndarray]]:
+def _combine(row: Callable[[int, int], np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Plug-in interaction estimate and variance on each scale, in `SCALES` order.
 
-    Reads four cells' `_cell_terms`; a variance of 0 marks a degenerate replicate.
+    ``row(cell, k)`` is a fresh 1-D array of term k of `_cell_terms` for cell
+    0-3 (00, 01, 10, 11).  Each scale is built in place from its rows before
+    the next scale's are read.  A variance of 0 marks a degenerate replicate.
     """
-    est = [(t11[0] - t10[0]) - (t01[0] - t00[0])]
-    est += [t11[k] - t10[k] - t01[k] + t00[k] for k in (2, 4)]
-    return [(e, t00[k] + t01[k] + t10[k] + t11[k]) for e, k in zip(est, (1, 3, 5))]
+    for k in (0, 2, 4):
+        est = row(3, k)
+        est -= row(2, k)
+        if k:
+            est -= row(1, k)
+            est += row(0, k)
+        else:  # identity: (t11 - t10) - (t01 - t00)
+            est -= np.subtract(row(1, k), row(0, k))
+        var = row(0, k + 1)
+        for cell in (1, 2, 3):
+            var += row(cell, k + 1)
+        yield est, var
+        del est, var  # so the next scale's rows can reuse their memory once the caller's are gone
 
 
 def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
@@ -162,7 +179,8 @@ def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
     terms = _cell_terms(np.array(counts.events()), np.array(counts.totals(), dtype=float))
-    est, var = _combine(*terms.T)[SCALES.index(scale)]
+    scales = list(_combine(lambda cell, k: terms[k, [cell]]))  # one replicate
+    est, var = (x.item() for x in scales[SCALES.index(scale)])
     if not var > 0.0:
         raise DegenerateCountsError(
             f"all cells at 0 or n, {scale}-scale variance is 0: {counts.events()}"
@@ -260,31 +278,45 @@ def _chunk_tallies(
 
     ``cells`` is `_cells`.  Each cell is drawn whole by `_draw`, in cell
     order 00, 01, 10, 11, since drawing it in blocks would change the
-    stream.  Blocks gather the terms.
+    stream.  A block feeds `_combine` 1-D row gathers of each cell's terms
+    table and tallies each scale before the next is built; a chunk with a cell
+    whose terms it evaluates per replicate runs in `EVAL_ROWS`-row blocks.
     """
     rng = mc.chunk_rng(seed, index)
-    draws, lookups = [], []  # per cell: a column or count per replicate, and a block's -> terms
-    for n, p, tables in cells:
-        c = _draw(rng, n, p, tables, size)
+    draws, tables = [], []  # per cell: a column or count per replicate, and its terms table or None
+    for n, p, cell_tables in cells:
+        c = _draw(rng, n, p, cell_tables, size)
         draws.append(c)
-        if tables is not None:
-            lookups.append(functools.partial(np.take, tables[2], axis=1))
+        if cell_tables is not None:
+            tables.append(cell_tables[2])
             continue
         lo, hi = int(c.min()), int(c.max())
-        if hi - lo < BLOCK_ROWS:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
-            table = _cell_terms(lo + np.arange(hi - lo + 1), float(n))
+        if hi - lo < EVAL_ROWS:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
+            tables.append(_cell_terms(lo + np.arange(hi - lo + 1), float(n)))
             c -= lo
-            lookups.append(functools.partial(np.take, table, axis=1))
         else:  # a table of the range would outgrow a block's terms, such as at n = 2**62
-            lookups.append(functools.partial(_cell_terms, totals=float(n)))
+            tables.append(None)
+    rows = EVAL_ROWS if any(t is None for t in tables) else BLOCK_ROWS
+
+    def row(cell, k):  # term k of the cell over the current block
+        t = tables[cell]
+        return evaluated[cell][k].copy() if t is None else t[k].take(block[cell])
+
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, size, BLOCK_ROWS):
-            terms = (f(d[start : start + BLOCK_ROWS]) for f, d in zip(lookups, draws))
-            for i, (est, var) in enumerate(_combine(*terms)):  # frees the terms it read
+        for start in range(0, size, rows):
+            block = [d[start : start + rows] for d in draws]
+            evaluated = None  # frees the last block's terms before this block's are evaluated
+            evaluated = [_cell_terms(b, float(n)) if t is None else None
+                         for t, b, (n, _, _) in zip(tables, block, cells)]
+            tallies = []
+            for est, var in _combine(row):
                 valid = var > 0.0
-                out[2 * i] += np.count_nonzero(valid & (np.abs(est / np.sqrt(var)) > z_crit))
-                out[2 * i + 1] += valid.size - np.count_nonzero(valid)
+                est /= np.sqrt(var, out=var)
+                tallies += [np.count_nonzero(valid & (np.abs(est, out=est) > z_crit)),
+                            valid.size - np.count_nonzero(valid)]
+                del est, var  # so the next scale's rows can reuse their memory
+            out += tallies
     return out
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import tracemalloc
 from statistics import NormalDist
 
@@ -354,8 +356,11 @@ class TestChunkBlocking:
 
     def test_block_rows_divide_the_chunk(self):
         assert mc.CHUNK_SIZE % B == 0
+        assert B % power.EVAL_ROWS == 0
 
-    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, mc.CHUNK_SIZE])
+    # either side of both block sizes: `EVAL_ROWS` where a cell's terms are
+    # evaluated per replicate, `BLOCK_ROWS` where every cell gathers from a table
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, B - 1, B, B + 1, mc.CHUNK_SIZE])
     @pytest.mark.parametrize("design", _DESIGNS)
     def test_blocked_tallies_equal_unblocked(self, design, size):
         z_crit = 1.959964
@@ -379,40 +384,69 @@ class TestChunkBlocking:
             rng = mc.chunk_rng(23 + k, k)
             events = np.stack([rng.binomial(n, p, size=B) for n, p in zip(design, truth)])
             direct = [power._cell_terms(e, float(n)) for e, n in zip(events, design)]
-            gathered = [  # from a table of the drawn range, as `_chunk_tallies` does
-                power._cell_terms(np.arange(e.min(), e.max() + 1), float(n))[:, e - e.min()]
-                if e.max() - e.min() < B else terms
-                for e, n, terms in zip(events, design, direct)
+            tables = [  # of the drawn range where `_chunk_tallies` tabulates it
+                power._cell_terms(np.arange(e.min(), e.max() + 1), float(n))
+                if e.max() - e.min() < power.EVAL_ROWS else None
+                for e, n in zip(events, design)
             ]
+
+            def gathered(cell, k):  # 1-D row gathers, as `_chunk_tallies` reads a block
+                if tables[cell] is None:
+                    return direct[cell][k].copy()
+                return tables[cell][k].take(events[cell] - events[cell].min())
+
             with np.errstate(divide="ignore", invalid="ignore"):
                 want = _frozen_wald(events, np.array(design, dtype=float)[:, None])
-            for terms in (gathered, direct):
-                got = power._combine(*terms)
+            for row in (gathered, lambda cell, k: direct[cell][k].copy()):
+                got = list(power._combine(row))
+                assert len(got) == len(SCALES)
                 for (est, var), (want_est, want_var) in zip(got, want):
                     assert est.tobytes() == want_est.tobytes(), truth
                     assert var.tobytes() == want_var.tobytes(), truth
 
 
-# Peak memory of one whole-chunk `_chunk_tallies` call, in block-length
-# float64 arrays (numpy 2.4); the per-query tables are built outside the call.
-# The benchmark designs keep the pins of the binomial draw with per-chunk
-# tables, each measured value rounded up to a quarter; their cells' int32
-# columns hold 32 arrays, and they now peak at 80.06.  Four binomial cells'
-# counts hold 64.  A 2**62 cell's drawn range is tabulated only while it is
-# narrower than a block, so at the guard-edge risks, where it spans about
-# 2 * 10**4 counts, each block evaluates the terms of its counts instead.
+def test_threads_share_no_chunk_state(monkeypatch):
+    # three threads on two CPUs, switching as often as the interpreter lets
+    # them: a buffer or row accessor shared across chunks would move a tally
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    reps = 5 * mc.CHUNK_SIZE + 1  # six chunks, one short
+    designs = [(10, 10, 10, 10), (100, 100, 100, 100), (1000, 1000, 1000, 1000),
+               (40, 160, 25, 400), (2**62, 10, 1, 2**62)]
+    start, interval = time.perf_counter(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for design in designs:
+            for truth in _TRUTHS[1:]:
+                args = (RiskTable(*truth), StudyDesign(*design), 0.05, reps, 41)
+                assert simulate_power(*args, workers=3) == simulate_power(*args, workers=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - start < 120.0
+
+
+# Peak memory of one whole-chunk `_chunk_tallies` call (numpy 2.4); the
+# per-query tables are built outside the call.  Each pin is in bytes, as a
+# multiple of 32 KiB (one 4096-row float64 array, the unit the pins were set
+# in), so that it does not move with `power.BLOCK_ROWS`; beside each is the
+# peak measured at 32768-row blocks.  The benchmark designs peak while their
+# cells are drawn: three cells' int32 columns (768 KiB) beside the last cell's
+# uniforms, columns and gather.  A block then holds the four columns (1 MiB)
+# and about four 256 KiB arrays.  Four binomial cells' counts hold 2 MiB.  A 2**62 cell's
+# drawn range is tabulated only while it is narrower than `EVAL_ROWS`, so at
+# the guard-edge risks, where it spans about 2 * 10**4 counts, its chunk runs
+# in `EVAL_ROWS`-row blocks that evaluate the terms of their counts.
 _CHUNK_PEAKS = [
-    ((10, 10, 10, 10), _TRUTHS[1], 97.5),
-    ((100, 100, 100, 100), _TRUTHS[1], 97.75),
-    ((1000, 1000, 1000, 1000), _TRUTHS[1], 98.25),
-    ((40, 160, 25, 400), _TRUTHS[1], 97.75),
-    ((2**62,) * 4, _TRUTHS[1], 98.5),
-    ((2**62,) * 4, _TRUTHS[2], 98.5),
+    ((10, 10, 10, 10), _TRUTHS[1], 97.5),  # measured 2623264 bytes
+    ((100, 100, 100, 100), _TRUTHS[1], 97.75),  # 2623264
+    ((1000, 1000, 1000, 1000), _TRUTHS[1], 98.25),  # 2623264
+    ((40, 160, 25, 400), _TRUTHS[1], 97.75),  # 2623264
+    ((2**62,) * 4, _TRUTHS[1], 98.5),  # 3160208
+    ((2**62,) * 4, _TRUTHS[2], 98.5),  # 3160200
 ]
 
 
-@pytest.mark.parametrize("design, truth, arrays", _CHUNK_PEAKS)
-def test_chunk_temporaries_stay_pinned(design, truth, arrays):
+@pytest.mark.parametrize("design, truth, kib32", _CHUNK_PEAKS)
+def test_chunk_temporaries_stay_pinned(design, truth, kib32):
     args = (_cells(truth, design), 1.959964, 31, 0, mc.CHUNK_SIZE)
     power._chunk_tallies(*args)  # warm numpy's caches
     tracemalloc.start()
@@ -421,4 +455,4 @@ def test_chunk_temporaries_stay_pinned(design, truth, arrays):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * B) <= arrays
+    assert peak <= kib32 * 32 * 1024
