@@ -25,6 +25,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 from . import coords, power, table, volume
@@ -243,7 +244,7 @@ def cmd_volume(args) -> tuple:
         defaults = {"system": "prob", "n_samples": 100_000, "seed": 0}
         keys = {k: v if getattr(args, k) is None else getattr(args, k) for k, v in defaults.items()}
         keys["bounds"] = None if args.bounds is None else _parse_bounds(args.bounds, "--bounds")
-        targets = [t.lower() for t in args.target]
+        targets = args.target
     prior = volume.PriorSpec(**keys)
     rows = []
     for target in targets:
@@ -439,10 +440,11 @@ def _keep_freed_memory() -> None:
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a separate value that starts with "-" as a flag
-    for i in range(len(argv) - 2, -1, -1):
-        if argv[i] == "--bounds":
-            argv[i : i + 2] = ["--bounds=" + argv[i + 1]]
+    # argparse reads a separate value such as "-1e-3" as a flag: a value that
+    # starts with "-" and a digit or "." is joined to its flag as --flag=value
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         sys.stdout.write(_render(args.format, *args.fn(args)))

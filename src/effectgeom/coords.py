@@ -292,8 +292,9 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
 # Near the floor D is a difference of nearly equal numbers, and rounding
 # (about 1e-15 b^2) can give it either sign.  Where |D| <= 1e-8 b^2 the
 # closed-form floor decides instead: D is raised to at least 0 for c >= m(r),
-# giving the double root 1 / (-b) there, and dropped for c < m(r).  Roots
-# therefore exist exactly when `eta_attainable` calls the level attained.
+# giving the double root 1 / (-b) there, once (its partner is NaN), and
+# dropped for c < m(r), so roots exist exactly when `eta_attainable` says so.
+# A computed D > 0 is at least one ulp of b^2: its roots differ by >= 1e-8 relative.
 #
 # Log odds ratio.  On a level curve (1 - p0) / (1 - r p0) = k p0 / (r p0 + 0.5),
 # so the log odds ratio of a root is
@@ -331,7 +332,7 @@ def _in_guard(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
-    """Smaller positive root of g(p0; r) = s and its Vieta partner (NaN if none).
+    """Smaller positive root of g(p0; r) = s and its Vieta partner (NaN if none or if D = 0).
 
     Works in place on its own temporaries; the inputs are not written.
     """
@@ -347,6 +348,7 @@ def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
     if near.size:
         at_or_above = s[near] >= _eta_floor(theta[near])
         D[near] = np.where(at_or_above, np.maximum(D[near], 0.0), np.nan)
+        near = near[D[near] == 0.0]  # double roots: each is its own partner
     p0 = np.sqrt(D, out=D)
     left = p0 - b
     np.divide(1.0, left, out=left)
@@ -358,6 +360,7 @@ def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
     partner = np.multiply(r, one_minus_k, out=den)
     partner *= p0
     np.divide(-0.5, partner, out=partner)
+    partner[near] = np.nan
     return p0, partner
 
 
@@ -368,12 +371,18 @@ def _sign_branch(c: np.ndarray, minus) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.where(minus, -c, c), np.where(minus, 1.0 / k, k), np.where(minus, em1 / k, -em1)
 
 
-def _level_roots(theta: np.ndarray, c: np.ndarray):
-    """``r`` and the (smaller, partner) roots of the branches g = +c and g = -c."""
-    r = np.exp(theta)
-    plus = _branch_roots(theta, r, *_sign_branch(c, False))
-    minus = _branch_roots(theta, r, *_sign_branch(c, True))
-    return r, plus, minus
+def _stratum_pairs(theta: np.ndarray, c: np.ndarray) -> list[tuple[StratumPair, ...]]:
+    """Each point's guarded stratum pairs on both sign branches, sorted by p0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(theta)
+        roots = np.stack([*_branch_roots(theta, r, *_sign_branch(c, False)),
+                          *_branch_roots(theta, r, *_sign_branch(c, True))], axis=1)
+        roots[~_in_guard(roots, r[:, None])] = np.nan
+    roots.sort(axis=1)  # NaN last
+    # at levels near 0 the g = +c and g = -c roots can round to one float
+    roots[:, 1:][roots[:, 1:] == roots[:, :-1]] = np.nan
+    return [tuple(StratumPair(p0, ri * p0) for p0 in row if not math.isnan(p0))
+            for ri, row in zip(r.tolist(), roots.tolist())]
 
 
 def eta_infimum(theta: float) -> float:
@@ -410,24 +419,14 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> tuple[StratumPair, ...]
     The roots of g = +c and g = -c are the roots of one quadratic per sign
     branch (see the shape notes above), with at most two inside the
     inclusive guard.  Pairs whose risks fall outside the guard are
-    dropped.  The pairs are sorted by ``p0`` and distinct to within 1e-9
-    in it; the tuple is empty, not an error, where the level is
-    unattainable at that relative risk.
+    dropped.  The pairs are sorted by ``p0``, and a double root at the floor,
+    or two roots that round to one float, is reported once; the tuple is
+    empty, not an error, where the level is unattainable at that relative risk.
 
     Raises:
         DomainError: unless ``c`` is a real number > 0 (log coordinates never hit 0).
     """
-    theta = check_finite("theta", theta)
-    c = _check_level(c)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r, plus, minus = _level_roots(np.array([theta]), np.array([c]))
-        roots = sorted(float(p[0]) for p in (*plus, *minus) if _in_guard(p, r)[0])
-    deduped: list[float] = []
-    for p in roots:
-        if not deduped or p - deduped[-1] > 1e-9:
-            deduped.append(p)
-    r = float(r[0])
-    return tuple(StratumPair(p0, r * p0) for p0 in deduped)
+    return _stratum_pairs(np.array([check_finite("theta", theta)]), np.array([_check_level(c)]))[0]
 
 
 def to_rr_eta(t: RiskTable) -> RrEtaCoords:
@@ -449,16 +448,15 @@ def from_rr_eta(c: RrEtaCoords) -> list[RiskTable]:
 
     The Cartesian product of the two per-stratum solution sets, ordered by
     (p00, p10).  An empty list means at least one stratum's contrast level is
-    unattainable at its implied relative risk.
+    unattainable at its implied relative risk.  An overflowing ``alpha0 +
+    alpha1`` raises ``DomainError``.
     """
+    theta = np.array([c.alpha0, check_finite("theta", c.alpha0 + c.alpha1)])
     with np.errstate(over="ignore"):
-        c0, c1 = np.exp([c.e0, c.e0 + c.e1]).tolist()
-    if c0 == 0.0 or c1 == 0.0:  # log target underflowed past float range
+        levels = np.exp([c.e0, c.e0 + c.e1])
+    if not levels.all():  # a log target underflowed past float range
         return []
-    set0 = solve_stratum_from_rr_eta(c.alpha0, c0)
-    if not set0:
-        return []
-    set1 = solve_stratum_from_rr_eta(c.alpha0 + c.alpha1, c1)
+    set0, set1 = _stratum_pairs(theta, levels)
     return [RiskTable.from_strata(s0, s1) for s0 in set0 for s1 in set1]
 
 

@@ -122,6 +122,43 @@ class TestErrorContract:
         assert p.returncode == code, p.stderr
         assert p.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "head, flag, value",
+        [
+            # argparse alone reads an exponent-notation value as a flag
+            (["convert", "--from-system", "rr_eta", "--to-system", "prob", "--alpha1", "0",
+              "--e0", "0.2", "--e1", "0.1"], "--alpha0", "-1e-3"),
+            (["volume", "--system", "rr_eta", "--target", "rr", "--n-samples", "100"],
+             "--bounds", "-1.5:0,-1:1,-1:1"),
+        ],
+        ids=["convert", "volume"],
+    )
+    def test_value_starting_with_minus_joins_its_flag(self, head, flag, value):
+        # a value that starts with "-" and a digit or "." reads as --flag=value
+        out = _run_in_process([*head, flag, value])
+        assert out["code"] == 0, out["stderr"]
+        assert out == _run_in_process([*head, f"{flag}={value}"])
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_non_numeric_value_starting_with_minus_stays_a_flag(self, value):
+        argv = ["convert", "--from-system", "rr_eta", "--to-system", "prob", "--alpha0", value,
+                "--alpha1", "0", "--e0", "0.2", "--e1", "0.1"]
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_rr_eta_keeps_both_roots_just_above_the_floor(self):
+        # at relative risk 1e7 each stratum's level is 1e-6 above the floor;
+        # the stratum's two roots differ by under 1e-9 in p00 and both count
+        out = _run_in_process([
+            "convert", "--from-system", "rr_eta", "--to-system", "prob",
+            "--alpha0", "16.11809565095832", "--alpha1", "0",
+            "--e0", "2.858483749309706", "--e1", "0", "--format", "plain",
+        ])
+        assert out["code"] == 0, out["stderr"]
+        lines = out["stdout"].splitlines()
+        assert lines[0] == "rr_eta -> prob: 4 solution(s)" and len(lines) == 5
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_fuzzed_argv_never_exits_4(self, data):

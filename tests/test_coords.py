@@ -285,6 +285,29 @@ class TestEtaSolver:
             assert p0s == sorted(p0s)
             assert all(b - a > 1e-9 for a, b in zip(p0s, p0s[1:]))
 
+    def test_floor_gives_one_or_two_distinct_pairs(self):
+        # at the floor the roots merge: a double root is reported once, and
+        # where rounding leaves D > 0 the two roots are distinct floats
+        counts = set()
+        for theta in np.linspace(0.01, 25.0, 2000).tolist():
+            level = eta_infimum(theta)
+            sols = solve_stratum_from_rr_eta(theta, level)
+            assert 1 <= len(sols) <= 2, theta
+            counts.add(len(sols))
+            assert len({s.p0 for s in sols}) == len(sols), theta
+            for s in sols:
+                back = to_rr_eta(RiskTable.from_strata(s, s))
+                assert back.alpha0 == pytest.approx(theta, abs=1e-9), theta
+                assert back.e0 == pytest.approx(math.log(level), abs=1e-9), theta
+        # rounding leaves D <= 0 at about half of the grid: one double root each
+        assert 1 in counts
+
+    @pytest.mark.parametrize("level", [1e-300, 1e-17, 1e-16])
+    def test_roots_that_round_to_one_float_give_one_pair(self, level):
+        # the g = +c and g = -c roots differ by less than an ulp of p0 here
+        (pair,) = solve_stratum_from_rr_eta(-0.5, level)
+        assert eta(pair) == pytest.approx(0.0, abs=1e-15)
+
     def test_matches_grid_oracle_roots(self, rng):
         for _ in range(150):
             theta = rng.uniform(-2.5, 2.5)
@@ -491,6 +514,17 @@ class TestDecimalOracle:
             theirs = [float(p0) for p0, _ in pairs]
             assert len(ours) == len(theirs), (theta, c)
             assert ours == pytest.approx(theirs, rel=1e-13, abs=0.0), (theta, c)
+
+    @pytest.mark.parametrize("excess", [1e-7, 1e-6])
+    def test_both_roots_just_above_the_floor_at_large_rr(self, excess):
+        # the two roots differ by under 1e-9 in p0 here, so no absolute
+        # tolerance may merge them
+        theta = math.log(1e7)
+        c = eta_infimum(theta) * (1.0 + excess)
+        ours = [s.p0 for s in solve_stratum_from_rr_eta(theta, c)]
+        theirs = [float(p0) for p0, _ in oracles.decimal_eta_pairs(theta, c)]
+        assert len(ours) == len(theirs) == 2
+        assert ours == pytest.approx(theirs, rel=1e-12, abs=0.0)
 
     def test_min_log_or_matches_decimal_log_or(self, decimal_cases):
         theta = np.array([t for t, _, _ in decimal_cases])
