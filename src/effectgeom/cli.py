@@ -365,7 +365,9 @@ def _add_table_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
         p.add_argument(f"--{f}", type=float, required=required, help=f"risk {f} (stratum, arm)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` runs ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="effectgeom",
         description="Geometry of binary-association effect measures.",
@@ -375,14 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measures", help="per-stratum measures and interactions")
     _add_table_flags(p)
     _add_format(p)
-    p.set_defaults(fn=cmd_measures)
 
     p = sub.add_parser("feasible", help="homogeneity completion for three known risks")
     for f in ("p00", "p10", "p01"):
         p.add_argument(f"--{f}", type=float, required=True)
     p.add_argument("--measure", choices=MEASURES, required=True)
     _add_format(p)
-    p.set_defaults(fn=cmd_feasible)
 
     p = sub.add_parser("volume", help="Monte Carlo compatibility probability")
     p.add_argument("--config", help="path to a prior configuration document")
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", help='three low:high pairs, e.g. "0:1,0:1,0:1"')
     p.add_argument("--workers", type=int, default=1)
     _add_format(p)
-    p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("power", help="Wald interaction-test power simulation")
     _add_table_flags(p)
@@ -405,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_format(p)
-    p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("convert", help="translate between coordinate systems")
     p.add_argument("--from-system", choices=coords.SYSTEMS, required=True)
@@ -415,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     for f in dict.fromkeys(coord_fields):
         p.add_argument(f"--{f}", type=float, default=None)
     _add_format(p)
-    p.set_defaults(fn=cmd_convert)
 
     return parser
 
@@ -447,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        sys.stdout.write(_render(args.format, *args.fn(args)))
+        sys.stdout.write(_render(args.format, *globals()[f"cmd_{args.command}"](args)))
     except EffectGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3

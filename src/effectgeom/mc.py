@@ -8,10 +8,11 @@ aggregation is a sum of per-chunk integer counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,12 @@ def chunk_layout(n: int) -> list[tuple[int, int]]:
     return [(i, min(CHUNK_SIZE, n - start)) for i, start in enumerate(range(0, n, CHUNK_SIZE))]
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads, built on first use and kept."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def run_chunked(
     task: Callable[..., np.ndarray],
     args: tuple,
@@ -69,9 +76,12 @@ def run_chunked(
     ``task`` must return an integer ndarray of fixed shape; the sum is
     order-independent, so any worker count yields identical totals.  The
     chunks run on a thread pool with no more threads than chunks or than CPUs
-    this process may run on (its affinity set where the OS has one),
-    and an exception a task raises, or an interrupt, reaches the caller
-    unchanged once the running chunks finish; queued chunks are cancelled.
+    this process may run on (its affinity set where the OS has one).  There
+    is one pool per thread count for the life of the process, built on first
+    use, whose threads outlive each call; a task that itself called
+    `run_chunked` with more than one worker could deadlock on its own pool.  An
+    exception a task raises, or an interrupt, cancels the queued chunks and
+    reaches the caller unchanged once the running chunks finish.
 
     Raises:
         DomainError: unless ``workers`` passes `check_int` in [1, MAX_COUNT].
@@ -83,6 +93,13 @@ def run_chunked(
     if workers == 1:
         parts = [task(*args, index, size) for index, size in layout]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: task(*args, *chunk), layout))
+        pool = _pool(workers)
+        futures = [pool.submit(task, *args, *chunk) for chunk in layout]
+        try:
+            parts = [f.result() for f in futures]
+        except BaseException:  # a task's exception or an interrupt: no chunk outlives the call
+            for f in futures:
+                f.cancel()
+            wait(futures)
+            raise
     return np.sum(np.stack(parts), axis=0)

@@ -15,8 +15,9 @@ identity variance degenerates to 0 is counted separately, never folded into
 either tally.
 
 Each statistic combines per-cell terms, and a cell's count is an integer in
-[0, n].  So each query builds, per cell, the alias table (Walker 1977, as Vose
-1991 builds it) and the terms of each count the alias table can yield, and a
+[0, n].  So each query builds, per cell, the alias table (Walker 1977, built
+by the sweep of Hübschle-Schneider & Sanders 2019 with numpy's in-order sums
+and searches) and the terms of each count the alias table can yield, and a
 chunk maps each uniform straight to its column of terms, then builds one
 scale's statistic at a time from 1-D gathers of those columns.  A cell with
 n + 1 above `ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk
@@ -56,11 +57,15 @@ BLOCK_ROWS = 32768
 EVAL_ROWS = 4096
 
 #: Most counts n + 1 a cell draws through an alias table; wider cells draw
-#: `rng.binomial`.  The tables are Python loops, about 1.3 us per count and
-#: cell: at 2 workers on a 2-vCPU Xeon they cut a 262144-replicate query from
-#: 84 to 35 ms at n = 1000, but cost more than they save past about 2000
-#: counts (60 against 43 ms at n = 4095, 363 against 39 at n = 65535).
-ALIAS_COUNTS = 1024
+#: `rng.binomial`.  Memory sets it: a cell's terms table takes 6 * 2m * 8
+#: bytes, 1.5 MiB at m = 16384, and past that the gathers from four cells'
+#: tables miss the cache.  On a 2-vCPU Xeon, in process at 1 / 2 workers, the
+#: tables beat `rng.binomial` at n = 16383 on 1048576 replicates (105 / 73
+#: against 229 / 142 ms) and at 2 workers on 262144 (29 against 37 ms), but
+#: lose at n = 32767 even on 1048576 (308 / 122 against 262 / 117 ms).  They
+#: cost about 0.16 us per count and cell to build, so a 10000-replicate query
+#: gains from them only below about n = 4000 (12 against 3.4 ms at n = 16383).
+ALIAS_COUNTS = 16384
 
 
 @dataclass(frozen=True)
@@ -194,30 +199,51 @@ def wald_interaction_pvalue(counts: CellCounts, scale: str) -> float:
     return math.erfc(abs(est / se) / math.sqrt(2.0))
 
 
-def _alias_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's alias table of the Binomial(n, p) pmf over [0, n]: (accept, alias).
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """The Binomial(n, p) pmf over [0, n].
 
-    The pmf is built in log space with scalar `math`, not numpy ufuncs, so
-    the table, and so every count drawn through it, is the same at any SIMD
-    level.  Entries the pairing leaves over keep accept 1 and alias k.
+    The ratio pmf[k + 1] / pmf[k] = (n - k) p / ((k + 1)(1 - p)) is run
+    outward from the mode, so no product overflows, and the products are
+    divided by their in-order sum.  Only multiplications,
+    divisions and sequential sums are used, each correctly rounded, so the
+    pmf is the same at any SIMD level; tails below the smallest float read 0.
+    """
+    k = np.arange(n + 1, dtype=float)
+    q = 1.0 - p
+    mode = min(int((n + 1) * p), n)
+    up = (n - k[mode:n]) * p / ((k[mode:n] + 1.0) * q)  # pmf[k + 1] / pmf[k] from the mode up
+    down = k[mode:0:-1] * q / ((n + 1.0 - k[mode:0:-1]) * p)  # pmf[k - 1] / pmf[k] down
+    pmf = np.concatenate((np.multiply.accumulate(down)[::-1], [1.0], np.multiply.accumulate(up)))
+    return pmf / np.cumsum(pmf)[-1]
+
+
+def _alias_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of `_binomial_pmf` over [0, n]: (accept, alias).
+
+    Built by the sweep of Hübschle-Schneider & Sanders (ESA 2019) on
+    x = m pmf: the heavy items (x >= 1), in index order, pay the light items'
+    deficits 1 - x, in index order.  Light item i is aliased to the first
+    heavy item whose cumulative surplus x - 1 exceeds the deficits before i,
+    or to the last heavy item where rounding runs the surplus out.  Heavy item
+    j keeps 1 plus its cumulative surplus less the deficits paid up to the
+    last light item it reached, and is aliased to the next heavy item, which
+    pays the rest; the last keeps 1.  Like the pmf, the table is the same at
+    any SIMD level.
     """
     m = n + 1
-    log_c = math.lgamma(m)
-    log_p, log_q = math.log(p), math.log1p(-p)
-    pmf = [math.exp(log_c - math.lgamma(k + 1) - math.lgamma(m - k) + k * log_p + (n - k) * log_q)
-           for k in range(m)]
-    scale = m / math.fsum(pmf)
-    prob = [q * scale for q in pmf]
-    accept, alias = [1.0] * m, list(range(m))
-    small = [k for k in range(m) if prob[k] < 1.0]
-    large = [k for k in range(m) if prob[k] >= 1.0]
-    while small and large:
-        k, j = small.pop(), large[-1]
-        accept[k], alias[k] = prob[k], j
-        prob[j] = (prob[j] + prob[k]) - 1.0
-        if prob[j] < 1.0:
-            small.append(large.pop())
-    return np.array(accept), np.array(alias)
+    x = _binomial_pmf(n, p) * m
+    heavy, light = np.flatnonzero(x >= 1.0), np.flatnonzero(x < 1.0)
+    surplus = np.cumsum(x[heavy] - 1.0)
+    paid = np.concatenate(([0.0], np.cumsum(1.0 - x[light])))  # deficits before each light item
+    accept, alias = x, np.arange(m)
+    reached = np.searchsorted(surplus, paid[:-1], side="right")
+    alias[light] = heavy[np.minimum(reached, heavy.size - 1)]
+    # rounding can leave what a heavy item keeps an ulp outside [0, 1]
+    kept = 1.0 + (surplus[:-1] - paid[np.searchsorted(paid[:-1], surplus[:-1])])
+    accept[heavy[:-1]] = np.clip(kept, 0.0, 1.0)
+    alias[heavy[:-1]] = heavy[1:]
+    accept[heavy[-1]] = 1.0
+    return accept, alias
 
 
 def _draw_tables(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -247,9 +273,8 @@ def _alias_columns(accept: np.ndarray, u: np.ndarray) -> np.ndarray:
     x - k; the count is k where the coin is below accept[k], else alias[k],
     and its column in the `_draw_tables` terms is 2k + coin.  For u < 1 and
     an integer m up to 2**53, u m rounds to below m, so k lies in [0, m - 1]
-    with no clip.  The coin resolves at least 53 - ceil(log2 m) bits: 43 at
-    m = `ALIAS_COUNTS` = 2**10, about 37 at m = 2**16.  Columns are int32,
-    half the uniforms' memory.
+    with no clip.  The coin resolves at least 53 - ceil(log2 m) bits: 39 at
+    m = `ALIAS_COUNTS` = 2**14.  Columns are int32, half the uniforms' memory.
     """
     u *= accept.size
     k = u.astype(np.int32)

@@ -296,9 +296,9 @@ class TestGoldenOutputs:
         )
         assert p.stdout == (
             "scale,n_pattern,alpha,reps,rejection_rate,std_error,degenerate_count\n"
-            "identity,100/100/100/100,0.05,2000,0.045,0.004635461142108733,0\n"
-            "log,100/100/100/100,0.05,2000,0.0445,0.004610843198374892,0\n"
-            "logit,100/100/100/100,0.05,2000,0.0455,0.004659922209651144,0\n"
+            "identity,100/100/100/100,0.05,2000,0.048,0.0047799581588126895,0\n"
+            "log,100/100/100/100,0.05,2000,0.0485,0.004803527349771208,0\n"
+            "logit,100/100/100/100,0.05,2000,0.0485,0.004803527349771208,0\n"
         )
 
     def test_convert_json(self):
@@ -514,6 +514,18 @@ class TestDeterminism:
         one = run(*args, "--workers", "1")
         two = run(*args, "--workers", "2")
         assert one.stdout == two.stdout
+
+    def test_one_process_prints_what_fresh_processes_print(self):
+        # the parser is built once per process; nothing one call parses may reach the next
+        queries = [
+            ["volume", "--target", "rd", "--target", "rr", "--n-samples", "2000", "--format", "csv"],
+            ["volume", "--target", "or", "--n-samples", "2000", "--seed", "3", "--format", "json"],
+            ["volume", "--target", "rr", "--n-samples", "2000"],
+        ]
+        for argv in queries:
+            fresh = run(*argv)
+            assert _run_in_process(argv) == {
+                "code": fresh.returncode, "stdout": fresh.stdout, "stderr": fresh.stderr}
 
 
 # a second run of the same query, counted from inside the process

@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -54,24 +57,23 @@ def _fake_cpu_count(monkeypatch, cpus):
 
 
 def _inline_pool(monkeypatch) -> list:
-    """Replace the thread pool with one that runs each task inline, so that a
-    huge worker count starts no thread; returns the pool sizes asked for."""
+    """Replace the per-count thread pool with one that runs each task inline,
+    so that a huge worker count starts no thread; returns the pool sizes
+    asked for.  The fake is patched over `mc._pool`, not cached by it, so no
+    later test sees it."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __enter__(self):
-            return self
+    def pool(workers):
+        sizes.append(workers)
+        return InlinePool()
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(mc, "_pool", pool)
     return sizes
 
 
@@ -140,3 +142,59 @@ class TestRunChunked:
         with pytest.raises(DomainError, match="chunk 0"):
             mc.run_chunked(task, (), 64 * mc.CHUNK_SIZE, workers=2)
         assert len(ran) < 64
+
+    # Ctrl-C reaches `run_chunked` as a KeyboardInterrupt, in the main thread
+    # while it waits on a chunk, or through the future of the chunk it hit
+    @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
+    def test_no_chunk_runs_once_a_raising_call_returns(self, monkeypatch, error):
+        # the pool outlives the call, so the call itself waits for its running chunks
+        log, lock = [], threading.Lock()
+
+        def task(index, size):
+            with lock:
+                log.append(("start", index))
+            if index == 0:
+                raise error("chunk 0")
+            time.sleep(0.01)
+            with lock:
+                log.append(("end", index))
+            return np.array([size], dtype=np.int64)
+
+        _fake_cpu_count(monkeypatch, 2)
+        with pytest.raises(error, match="chunk 0"):
+            mc.run_chunked(task, (), 64 * mc.CHUNK_SIZE, workers=2)
+        with lock:
+            returned = list(log)
+        started = {i for what, i in returned if what == "start"}
+        assert {i for what, i in returned if what == "end"} == started - {0}
+        time.sleep(0.1)
+        assert log == returned
+
+    def test_two_calls_reuse_one_executor(self, monkeypatch):
+        _fake_cpu_count(monkeypatch, 2)
+        pools, threads = [], []
+        real_pool = mc._pool
+
+        def spy(workers):
+            pools.append(real_pool(workers))
+            return pools[-1]
+
+        monkeypatch.setattr(mc, "_pool", spy)
+
+        def task(index, size):
+            threads.append(threading.current_thread())
+            return _toy_task(2, index, size)
+
+        n = 3 * mc.CHUNK_SIZE
+        first = mc.run_chunked(task, (), n, workers=2)
+        assert np.array_equal(mc.run_chunked(task, (), n, workers=2), first)
+        assert len(pools) == 2 and pools[0] is pools[1]
+        # the pool's threads outlive each call, and the two calls shared at most two
+        assert len(set(threads)) <= 2
+        assert all(t.is_alive() and t is not threading.main_thread() for t in threads)
+
+
+def test_import_starts_no_thread():
+    code = "import threading, effectgeom.cli; print(threading.active_count())"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "1\n"

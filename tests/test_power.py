@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import time
@@ -109,7 +110,7 @@ class TestFrozenFixture:
     def test_dataset(self):
         truth, design = (0.3,) * 4, (200,) * 4
         ds = simulate_dataset(RiskTable(*truth), StudyDesign(*design), seed=0)
-        assert ds.events() == (61, 54, 51, 50)
+        assert ds.events() == (61, 54, 51, 49)
         rng = mc.chunk_rng(0, 0)
         assert ds.events() == tuple(_frozen_draw(rng, n, p, 1)[0] for n, p in zip(design, truth))
 
@@ -286,12 +287,13 @@ class TestAliasDraw:
     """Each cell's alias table, and the map from a uniform to a count's terms."""
 
     @pytest.mark.parametrize("p", [_E, 0.35, 1 - _E])
-    @pytest.mark.parametrize("n", [1, 10, 1000, mc.CHUNK_SIZE - 1])
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, power.ALIAS_COUNTS - 1, mc.CHUNK_SIZE - 1])
     def test_table_matches_the_decimal_pmf(self, n, p):
         # count k is drawn with probability accept[k] / m, plus (1 - accept[j]) / m
-        # for every j aliased to k.  lgamma's cancellation costs up to about
-        # 2e-10 of the pmf at n = 2**16, and the pairing's rounding at the scale
-        # of m falls on the large entries: at most 1.3e-14 of one here.
+        # for every j aliased to k.  The ratio products round once per step
+        # from the mode, and the sweep's cumulative sums round at the scale of
+        # m on the large entries; at the guard-edge risks the tails underflow
+        # to 0, within the absolute term.
         accept, alias = power._alias_table(n, p)
         m = n + 1
         assert accept.shape == alias.shape == (m,)
@@ -300,6 +302,22 @@ class TestAliasDraw:
         implied = accept / m + np.bincount(alias, weights=(1.0 - accept) / m, minlength=m)
         exact = np.array([float(q) for q in oracles.decimal_binomial_pmf(n, p)])
         assert (np.abs(implied - exact) <= 1e-9 * exact + 1e-15).all()
+
+    # SHA-256 of accept's float64 bytes then alias's little-endian int64 bytes.
+    # The tables use no SIMD-dependent function, so the digests hold at every
+    # SIMD level; a change of the pairing or the pmf's rounding moves them.
+    @pytest.mark.parametrize("n, p, digest", [
+        (1, 0.5, "fab67cfab82643b9e5a96d8984ec3fa7442c4af864c74abf710a524a52b3b2f8"),
+        (10, 0.35, "acc179db0da4ff424d66c2b8bdcd410ca512cbf208663727261bf51422c5eca6"),
+        (1000, 0.2, "4a845356224c0a90b0d94aa91c0246656fe74fa891682350d80143677a27f4ff"),
+        (4095, 0.6, "cb767f23be07e37145be0557459333dc5d8c061de03beb8080828eebb083e8e5"),
+        (16383, 1 - _E, "e541254d25e66ca7526aee095a252c0e277678b746058317fa076a6a514b8e9d"),
+    ])
+    def test_tables_are_pinned(self, n, p, digest):
+        accept, alias = power._alias_table(n, p)
+        assert accept.dtype == np.float64
+        got = hashlib.sha256(accept.tobytes() + alias.astype("<i8").tobytes()).hexdigest()
+        assert got == digest
 
     def test_uniform_edges_map_into_the_support(self):
         # u m < m for the largest u below 1 at every table size, so k needs no clip
