@@ -65,6 +65,10 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers)
 
 
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pools but not their threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def run_chunked(
     task: Callable[..., np.ndarray],
     args: tuple,
@@ -78,8 +82,9 @@ def run_chunked(
     chunks run on a thread pool with no more threads than chunks or than CPUs
     this process may run on (its affinity set where the OS has one).  There
     is one pool per thread count for the life of the process, built on first
-    use, whose threads outlive each call; a task that itself called
-    `run_chunked` with more than one worker could deadlock on its own pool.  An
+    use, whose threads outlive each call (a forked child builds its own); a
+    task that itself called `run_chunked` with more than one worker could
+    deadlock on its own pool.  An
     exception a task raises, or an interrupt, cancels the queued chunks and
     reaches the caller unchanged once the running chunks finish.
 

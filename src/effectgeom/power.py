@@ -57,15 +57,13 @@ BLOCK_ROWS = 32768
 EVAL_ROWS = 4096
 
 #: Most counts n + 1 a cell draws through an alias table; wider cells draw
-#: `rng.binomial`.  Memory sets it: a cell's terms table takes 6 * 2m * 8
-#: bytes, 1.5 MiB at m = 16384, and past that the gathers from four cells'
-#: tables miss the cache.  On a 2-vCPU Xeon, in process at 1 / 2 workers, the
-#: tables beat `rng.binomial` at n = 16383 on 1048576 replicates (105 / 73
-#: against 229 / 142 ms) and at 2 workers on 262144 (29 against 37 ms), but
-#: lose at n = 32767 even on 1048576 (308 / 122 against 262 / 117 ms).  They
-#: cost about 0.16 us per count and cell to build, so a 10000-replicate query
-#: gains from them only below about n = 4000 (12 against 3.4 ms at n = 16383).
-ALIAS_COUNTS = 16384
+#: `rng.binomial`.  Build time sets it: the tables cost about 0.16 us per
+#: count and cell, so they pay back only over enough replicates.  On a 2-vCPU
+#: Xeon, in process at 1 / 2 workers, a query of the CLI's default 10000
+#: replicates took 3.1 / 2.8 ms at n = 2047 through the tables against
+#: 3.6 / 3.5 ms by `rng.binomial`, but 3.8 / 3.6 against 3.1 / 3.0 ms at
+#: n = 4095.  A cell's terms table takes 6 * 2m * 8 bytes, 192 KiB at the cap.
+ALIAS_COUNTS = 2048
 
 
 @dataclass(frozen=True)
@@ -238,9 +236,7 @@ def _alias_table(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     accept, alias = x, np.arange(m)
     reached = np.searchsorted(surplus, paid[:-1], side="right")
     alias[light] = heavy[np.minimum(reached, heavy.size - 1)]
-    # rounding can leave what a heavy item keeps an ulp outside [0, 1]
-    kept = 1.0 + (surplus[:-1] - paid[np.searchsorted(paid[:-1], surplus[:-1])])
-    accept[heavy[:-1]] = np.clip(kept, 0.0, 1.0)
+    accept[heavy[:-1]] = 1.0 + (surplus[:-1] - paid[np.searchsorted(paid[:-1], surplus[:-1])])
     alias[heavy[:-1]] = heavy[1:]
     accept[heavy[-1]] = 1.0
     return accept, alias
@@ -273,8 +269,8 @@ def _alias_columns(accept: np.ndarray, u: np.ndarray) -> np.ndarray:
     x - k; the count is k where the coin is below accept[k], else alias[k],
     and its column in the `_draw_tables` terms is 2k + coin.  For u < 1 and
     an integer m up to 2**53, u m rounds to below m, so k lies in [0, m - 1]
-    with no clip.  The coin resolves at least 53 - ceil(log2 m) bits: 39 at
-    m = `ALIAS_COUNTS` = 2**14.  Columns are int32, half the uniforms' memory.
+    with no clip.  The coin resolves at least 53 - ceil(log2 m) bits: 42 at
+    m = `ALIAS_COUNTS` = 2**11.  Columns are int32, half the uniforms' memory.
     """
     u *= accept.size
     k = u.astype(np.int32)

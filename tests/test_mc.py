@@ -1,8 +1,11 @@
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -192,6 +195,35 @@ class TestRunChunked:
         # the pool's threads outlive each call, and the two calls shared at most two
         assert len(set(threads)) <= 2
         assert all(t.is_alive() and t is not threading.main_thread() for t in threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_chunks_on_threads_of_its_own(self, monkeypatch):
+        # the child inherits the parent's cached pool, but not its threads
+        _fake_cpu_count(monkeypatch, 2)
+        n = 3 * mc.CHUNK_SIZE
+        first = mc.run_chunked(_toy_task, (2,), n, workers=2)
+        read, write = os.pipe()
+        with warnings.catch_warnings():  # later Pythons warn of a fork with threads running
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child leaves by os._exit, whatever happens, and runs no teardown
+            code = 1
+            try:
+                os.write(write, mc.run_chunked(_toy_task, (2,), n, workers=2).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:  # the child hung on a pool without threads
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read, "rb") as f:
+            got = f.read()
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert np.frombuffer(got, dtype=np.int64).tolist() == first.tolist()
 
 
 def test_import_starts_no_thread():
