@@ -81,12 +81,10 @@ def _stratum_report(s: StratumPair) -> dict[str, float]:
     }
 
 
-def _interactions(r0: dict[str, float], r1: dict[str, float]) -> dict[str, float]:
-    log_eta = (
-        math.log(r1["eta"]) - math.log(r0["eta"])
-        if r0["eta"] > 0.0 and r1["eta"] > 0.0
-        else math.nan
-    )
+def _interactions(r0: dict[str, float], r1: dict[str, float]) -> dict[str, float | None]:
+    """The four interaction contrasts; ``log_eta`` is None where a stratum's eta is 0."""
+    eta0, eta1 = r0["eta"], r1["eta"]
+    log_eta = math.log(eta1) - math.log(eta0) if eta0 > 0.0 and eta1 > 0.0 else None
     return {
         "rd": r1["rd"] - r0["rd"],
         "log_rr": math.log(r1["rr"]) - math.log(r0["rr"]),
@@ -107,7 +105,8 @@ def cmd_measures(args) -> tuple:
     rows = [[name, v, value] for v in (0, 1) for name, value in strata[v].items()]
     rows += [[f"interaction_{name}", None, value] for name, value in inter.items()]
     lines = [f"{name}({v}) = {_fmt(value)}" for v in (0, 1) for name, value in strata[v].items()]
-    lines += [f"interaction.{name} = {_fmt(value)}" for name, value in inter.items()]
+    lines += [f"interaction.{name} = {_fmt(math.nan if value is None else value)}"
+              for name, value in inter.items()]
     return payload, ["quantity", "stratum", "value"], rows, lines
 
 
@@ -168,9 +167,16 @@ def _parse_int(key: str, value: str, where: str) -> int:
         raise ConfigError(f"{where}: {key} must be an integer, got {value!r}") from None
 
 
+def _parse_name(kind: str, value: str, names, where: str) -> str:
+    """``value`` in lower case, which must be one of ``names``."""
+    if value.lower() not in names:
+        raise ConfigError(f"{where}: unknown {kind} {value!r} (expected one of {tuple(names)})")
+    return value.lower()
+
+
 #: configuration key -> parser(value, where); the keys are `volume.PriorSpec`'s fields.
 _CONFIG_KEYS = {
-    "system": lambda value, where: value,
+    "system": lambda value, where: _parse_name("system", value, COMPAT_SYSTEMS, where),
     "seed": lambda value, where: _parse_int("seed", value, where),
     "n_samples": lambda value, where: _parse_int("n_samples", value, where),
     "bounds": _parse_bounds,
@@ -199,12 +205,7 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
             parts = inner.split()
             if len(parts) != 2 or parts[0] != "target":
                 raise ConfigError(f"line {lineno}: expected [target NAME], got {raw.strip()!r}")
-            target = parts[1].lower()
-            if target not in MEASURES:
-                raise ConfigError(
-                    f"line {lineno}: unknown target {parts[1]!r} (expected one of {MEASURES})"
-                )
-            targets.append(target)
+            targets.append(_parse_name("target", parts[1], MEASURES, f"line {lineno}"))
             in_sections = True
             continue
         if "=" not in line:
@@ -326,6 +327,10 @@ def _coords_from_args(system: str, args) -> object:
     missing = [f"--{f}" for f in names if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"system {system!r} requires flags: {', '.join(missing)}")
+    others = dict.fromkeys(f for s in coords.SYSTEMS for f in _field_names(s) if f not in names)
+    extra = [f"--{f}" for f in others if getattr(args, f) is not None]
+    if extra:
+        raise ConfigError(f"system {system!r} does not take flags: {', '.join(extra)}")
     return coords.SYSTEMS[system].cls(**{f: getattr(args, f) for f in names})
 
 

@@ -119,6 +119,12 @@ def _contrasts(l00: float, l01: float, l10: float, l11: float) -> tuple[float, .
     return l00, l10 - l00, l01 - l00, l11 - l10 - (l01 - l00)
 
 
+def _log_contrast(measure, t: RiskTable) -> tuple[float, float]:
+    """(log m(s0), log m(s1) - log m(s0)) of a per-stratum ``measure`` m."""
+    base = math.log(measure(t.stratum(0)))
+    return base, math.log(measure(t.stratum(1))) - base
+
+
 def _table_from(c, inverse_link) -> RiskTable:
     """The table at ``c`` = (base, shift, effect, interaction), through ``inverse_link``.
 
@@ -205,12 +211,7 @@ def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
 
 def to_rr_op(t: RiskTable) -> RrOpCoords:
     """Forward map to log relative-risk and log odds-product coordinates."""
-    s0, s1 = t.stratum(0), t.stratum(1)
-    alpha0 = math.log(relative_risk(s0))
-    alpha1 = math.log(relative_risk(s1)) - alpha0
-    gamma0 = math.log(odds_product(s0))
-    gamma1 = math.log(odds_product(s1)) - gamma0
-    return RrOpCoords(alpha0, alpha1, gamma0, gamma1)
+    return RrOpCoords(*_log_contrast(relative_risk, t), *_log_contrast(odds_product, t))
 
 
 def from_rr_op(c: RrOpCoords) -> RiskTable:
@@ -290,10 +291,10 @@ def from_logistic(c: LogisticCoords) -> RiskTable:
 # (0, B), including p0 = 1 at r = 1.
 #
 # Near the floor D is a difference of nearly equal numbers, and rounding
-# (about 1e-15 b^2) can give it either sign.  Where |D| <= 1e-8 b^2 the
-# closed-form floor decides instead: D is raised to at least 0 for c >= m(r),
-# giving the double root 1 / (-b) there, once (its partner is NaN), and
-# dropped for c < m(r), so roots exist exactly when `eta_attainable` says so.
+# (about 1e-15 b^2) can give it either sign.  Where |D| <= 1e-8 b^2,
+# `eta_attainable_vec(theta, s)` decides instead: D is raised to at least 0 where
+# it holds, giving the double root 1 / (-b) there, once (its partner is NaN), and
+# dropped elsewhere, so roots exist exactly when `eta_attainable` says so.
 # A computed D > 0 is at least one ulp of b^2: its roots differ by >= 1e-8 relative.
 #
 # Log odds ratio.  On a level curve (1 - p0) / (1 - r p0) = k p0 / (r p0 + 0.5),
@@ -331,11 +332,17 @@ def _in_guard(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
     return in_guard(p0) & in_guard(r * p0)
 
 
-def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
+def _branch_roots(theta, r, c, minus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smaller positive root of g(p0; r) = s and its Vieta partner (NaN if none or if D = 0).
 
+    Returns (s, root, partner), with s = -c where ``minus`` and +c elsewhere.
     Works in place on its own temporaries; the inputs are not written.
     """
+    k = np.exp(c)
+    em1 = np.expm1(c)
+    s = np.where(minus, -c, c)
+    k, one_minus_k = np.where(minus, 1.0 / k, k), np.where(minus, em1 / k, -em1)
+    del em1  # with e^c (rebound above), freed before the discriminant is built
     b = r - 0.5
     b -= k
     band = b * b
@@ -346,8 +353,8 @@ def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
     band *= _D_BAND
     near = np.flatnonzero(np.abs(D) <= band)
     if near.size:
-        at_or_above = s[near] >= _eta_floor(theta[near])
-        D[near] = np.where(at_or_above, np.maximum(D[near], 0.0), np.nan)
+        attainable = eta_attainable_vec(theta[near], s[near])
+        D[near] = np.where(attainable, np.maximum(D[near], 0.0), np.nan)
         near = near[D[near] == 0.0]  # double roots: each is its own partner
     p0 = np.sqrt(D, out=D)
     left = p0 - b
@@ -361,22 +368,15 @@ def _branch_roots(theta, r, s, k, one_minus_k) -> tuple[np.ndarray, np.ndarray]:
     partner *= p0
     np.divide(-0.5, partner, out=partner)
     partner[near] = np.nan
-    return p0, partner
-
-
-def _sign_branch(c: np.ndarray, minus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, k, 1 - k) of the branch g = -c where ``minus``, and of g = +c elsewhere."""
-    k = np.exp(c)
-    em1 = np.expm1(c)
-    return np.where(minus, -c, c), np.where(minus, 1.0 / k, k), np.where(minus, em1 / k, -em1)
+    return s, p0, partner
 
 
 def _stratum_pairs(theta: np.ndarray, c: np.ndarray) -> list[tuple[StratumPair, ...]]:
     """Each point's guarded stratum pairs on both sign branches, sorted by p0."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r = np.exp(theta)
-        roots = np.stack([*_branch_roots(theta, r, *_sign_branch(c, False)),
-                          *_branch_roots(theta, r, *_sign_branch(c, True))], axis=1)
+        roots = np.stack([*_branch_roots(theta, r, c, False)[1:],
+                          *_branch_roots(theta, r, c, True)[1:]], axis=1)
         roots[~_in_guard(roots, r[:, None])] = np.nan
     roots.sort(axis=1)  # NaN last
     # at levels near 0 the g = +c and g = -c roots can round to one float
@@ -431,16 +431,10 @@ def solve_stratum_from_rr_eta(theta: float, c: float) -> tuple[StratumPair, ...]
 
 def to_rr_eta(t: RiskTable) -> RrEtaCoords:
     """Forward map; undefined (raises) when a stratum contrast is exactly 0."""
-    s0, s1 = t.stratum(0), t.stratum(1)
-    eta0, eta1 = eta(s0), eta(s1)
-    if eta0 <= 0.0:
-        raise OutOfDomainError("eta0", eta0, "= 0 has no log coordinate")
-    if eta1 <= 0.0:
-        raise OutOfDomainError("eta1", eta1, "= 0 has no log coordinate")
-    alpha0 = math.log(relative_risk(s0))
-    alpha1 = math.log(relative_risk(s1)) - alpha0
-    e0 = math.log(eta0)
-    return RrEtaCoords(alpha0, alpha1, e0, math.log(eta1) - e0)
+    for v, value in enumerate((eta(t.stratum(0)), eta(t.stratum(1)))):
+        if value <= 0.0:
+            raise OutOfDomainError(f"eta{v}", value, "= 0 has no log coordinate")
+    return RrEtaCoords(*_log_contrast(relative_risk, t), *_log_contrast(eta, t))
 
 
 def from_rr_eta(c: RrEtaCoords) -> list[RiskTable]:
@@ -497,7 +491,7 @@ def eta_attainable_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(theta == 0.0, c > floor, c >= floor)
 
 
-def _branch_min_log_odds_ratio(theta, r, s, k, one_minus_k) -> np.ndarray:
+def _branch_min_log_odds_ratio(theta, r, c, minus) -> np.ndarray:
     """Log odds ratio minus theta of the branch g = s's smallest guarded root; +inf if none.
 
     Where the smaller root lies below eps, its Vieta partner stands in (the
@@ -505,7 +499,7 @@ def _branch_min_log_odds_ratio(theta, r, s, k, one_minus_k) -> np.ndarray:
     guarded: it is >= 1 on the g = +c branch for r <= 1, and negative on the
     g = -c branch.
     """
-    p0, partner = _branch_roots(theta, r, s, k, one_minus_k)
+    s, p0, partner = _branch_roots(theta, r, c, minus)
     p0 = np.where(p0 >= DEFAULT_EPS, p0, partner)
     guarded = _in_guard(p0, r)
     log_or = np.multiply(r, p0, out=partner)
@@ -520,12 +514,12 @@ def _branch_min_log_odds_ratio(theta, r, s, k, one_minus_k) -> np.ndarray:
 def eta_min_log_odds_ratio_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Smallest log odds ratio over the stratum pairs solving (theta, c).
 
-    Element-wise, broadcasting ``theta`` against ``c``; +inf where the
-    solution set is empty.  Used by the compatibility batch check, which
-    compares it with ``c1 - log 1.5``: the supremum of the log odds ratios on
-    the stratum-1 level curve at c1 when the guard is ignored.  Inside the
-    guard the curve reaches less, so the comparison can call a draw
-    compatible with no guarded stratum-1 match (the "Limit" paragraph of
+    Element-wise over equal-length 1-D float arrays, the columns that the
+    compatibility batch check passes; +inf where the solution set is empty.
+    That check compares it with ``c1 - log 1.5``: the supremum of the log
+    odds ratios on the stratum-1 level curve at c1 when the guard is ignored.
+    Inside the guard the curve reaches less, so the comparison can call a
+    draw compatible with no guarded stratum-1 match (the "Limit" paragraph of
     `homogeneity`).
 
     One sign branch decides each point (shape notes above): g = -c where
@@ -534,17 +528,12 @@ def eta_min_log_odds_ratio_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     and the g = -c root fails the guard, the g = +c branch is tried instead.
     Agrees with `solve_stratum_from_rr_eta` point by point.
     """
-    theta, c = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(c, dtype=float))
-    shape = theta.shape
-    theta, c = theta.ravel(), c.ravel()  # 1-d, so that flat indices index them
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         neg = theta < 0.0
         r = np.exp(theta)
-        best = _branch_min_log_odds_ratio(theta, r, *_sign_branch(c, neg))
+        best = _branch_min_log_odds_ratio(theta, r, c, neg)
         lost = np.flatnonzero(neg & (best == np.inf))
         if lost.size:  # usually empty; recomputes e^c there rather than keep it per block
-            best[lost] = _branch_min_log_odds_ratio(
-                theta[lost], r[lost], *_sign_branch(c[lost], False)
-            )
+            best[lost] = _branch_min_log_odds_ratio(theta[lost], r[lost], c[lost], False)
         best += theta
-        return best.reshape(shape)
+        return best

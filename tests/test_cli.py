@@ -48,6 +48,13 @@ class TestExitCodes:
         assert p.returncode == 2
         assert "--alpha1" in p.stderr
 
+    def test_convert_flags_of_another_system_are_2(self):
+        # they used to be dropped silently
+        out = _run_in_process(["convert", "--from-system", "prob", "--to-system", "rr_op",
+                               *_TABLE, "--alpha0", "5", "--e1", "3"])
+        assert out == {"code": 2, "stdout": "",
+                       "stderr": "error: system 'prob' does not take flags: --alpha0, --e1\n"}
+
     @pytest.mark.parametrize("cells", [["--n00", "50"], ["--n01", "5", "--n11", "7"]])
     def test_power_n_with_a_cell_size_is_2(self, cells):
         # --n used to win silently over the per-cell sizes
@@ -244,6 +251,15 @@ class TestGoldenOutputs:
             "interaction.log_eta = 0.568343\n"
         )
 
+    def test_measures_undefined_log_eta_is_null(self):
+        # eta(0) = 0 at (0.5, 0.25); json used to print NaN, which is not JSON
+        argv = ["measures", "--p00", ".5", "--p01", ".25", "--p10", ".4", "--p11", ".6"]
+        out = {fmt: _run_in_process([*argv, "--format", fmt])["stdout"]
+               for fmt in ("plain", "csv", "json")}
+        assert _strict_json(out["json"])["interactions"]["log_eta"] is None
+        assert out["csv"].endswith("\ninteraction_log_eta,,\n")
+        assert out["plain"].endswith("\ninteraction.log_eta = nan\n")
+
     def test_measures_constant_table_zero_interactions(self):
         p = run("measures", "--p00", ".5", "--p01", ".5", "--p10", ".5", "--p11", ".5")
         lines = p.stdout.splitlines()
@@ -382,6 +398,19 @@ class TestGoldenMatrix:
     def test_bytes_at_two_workers(self, tmp_path, case, fmt):
         self.check(tmp_path, case, fmt, "--workers", "2")
 
+    def test_json_goldens_are_strict_json(self):
+        for case in _GOLDEN_CASES:
+            golden = self.GOLDEN[f"{case}/json"]
+            if golden["code"] == 0:
+                _strict_json(golden["stdout"])
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON; NaN and Infinity, which JSON lacks, raise."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
 
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -478,6 +507,7 @@ class TestConfigFile:
             ("system = prob\nseed = 1\nwhat is this\n[target rr]\n", 3),
             ("system = prob\nseed = 1\nn_samples = 10\n[target hazard]\n", 4),
             ("system = prob\nseed = 1\nn_samples = 10\nbounds = 0:1, 0:1\n[target rr]\n", 4),
+            ("system = bogus\nseed = 1\nn_samples = 10\n[target rr]\n", 1),
         ],
     )
     def test_parse_errors_cite_line_numbers(self, tmp_path, body, lineno):
@@ -486,6 +516,14 @@ class TestConfigFile:
         p = run("volume", "--config", str(cfg))
         assert p.returncode == 2
         assert f"line {lineno}" in p.stderr
+
+    def test_system_name_is_read_in_any_case_like_a_target(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("system = RR_eta\nseed = 9\nn_samples = 2000\n[target RR]\n")
+        via_config = run("volume", "--config", str(cfg), "--format", "csv")
+        inline = run("volume", "--system", "rr_eta", "--target", "rr",
+                     "--n-samples", "2000", "--seed", "9", "--format", "csv")
+        assert via_config.returncode == 0 and via_config.stdout == inline.stdout
 
     def test_missing_target_section(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

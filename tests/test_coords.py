@@ -480,17 +480,6 @@ class TestOneSignBranch:
         rescued = fallback & np.isfinite(eta_min_log_odds_ratio_vec(theta, c))
         assert fallback.any() and rescued.any()
 
-    def test_any_shape_gives_the_flat_values(self):
-        # the fallback indexes flat positions; a 2-d or 0-d input must not
-        # mix them up with rows
-        rng = np.random.default_rng(20261019)
-        theta = rng.uniform(-60.0, 0.0, 20_000)
-        c = np.exp(rng.uniform(2.0, 6.0, 20_000))
-        flat = eta_min_log_odds_ratio_vec(theta, c)
-        grid = eta_min_log_odds_ratio_vec(theta.reshape(100, 200), c.reshape(100, 200))
-        assert grid.shape == (100, 200) and grid.tobytes() == flat.tobytes()
-        assert eta_min_log_odds_ratio_vec(theta[7], c[7]) == flat[7]
-
 
 @pytest.fixture(scope="module")
 def decimal_cases():
