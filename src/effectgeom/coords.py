@@ -40,7 +40,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -167,8 +167,8 @@ def from_poisson(c: PoissonCoords) -> RiskTable:
 # ---------------------------------------------------------------------------
 
 
-def rr_op_risks_vec(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Stratum risks (p0, p1) with log relative risk theta and log odds product phi.
+def rr_op_risks_vec(theta, *phis) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stratum risks (p0, p1) with log relative risk theta, one pair per log odds product phi.
 
     With r = e^theta, w = e^phi and p1 = r p0, the odds-product equation is
     the quadratic
@@ -182,16 +182,32 @@ def rr_op_risks_vec(theta, phi) -> tuple[np.ndarray, np.ndarray]:
 
     where the discriminant form ``w [w (1-r)^2 + 4 r]`` is positive by
     construction (no subtraction).  The w = 1 degenerate (linear) case lands
-    on the same formula: p0 = 1 / (1 + r).  Element-wise over arrays.  In
-    floats the root can fall outside the inclusive guard
-    (`DEFAULT_EPS`) once |theta| or |phi| is large.
+    on the same formula: p0 = 1 / (1 + r).  In floats the root can fall
+    outside the inclusive guard (`DEFAULT_EPS`) once |theta| or |phi| is
+    large.
+
+    ``theta`` and each of ``phis`` are float arrays of one shape.  e^theta and
+    1 - e^theta are computed once for every phi, and each pair is built in
+    place in arrays that the next pair overwrites, so read a pair before
+    asking for the next.
     """
     r = np.exp(theta)
-    w = np.exp(phi)
-    one_minus_r = -np.expm1(theta)  # 1 - r without cancellation
-    disc = w * (w * one_minus_r * one_minus_r + 4.0 * r)
-    p0 = 2.0 * w / (w * (1.0 + r) + np.sqrt(disc))
-    return p0, r * p0
+    one_minus_r = np.expm1(theta)
+    np.negative(one_minus_r, out=one_minus_r)  # 1 - r without cancellation
+    w = disc = den = None
+    for phi in phis:
+        w = np.exp(phi, out=w)
+        disc = np.multiply(w, one_minus_r, out=disc)
+        disc *= one_minus_r
+        den = np.multiply(4.0, r, out=den)
+        disc += den
+        disc *= w
+        den = np.add(1.0, r, out=den)
+        den *= w
+        den += np.sqrt(disc, out=disc)
+        w *= 2.0
+        w /= den
+        yield w, np.multiply(r, w, out=den)
 
 
 def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
@@ -205,8 +221,8 @@ def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
     theta = check_finite("theta", theta)
     phi = check_finite("phi", phi)
     with np.errstate(over="ignore", invalid="ignore"):
-        p0, p1 = rr_op_risks_vec(theta, phi)
-    return StratumPair(p0, p1)
+        (p0, p1), = rr_op_risks_vec(np.array([theta]), np.array([phi]))
+    return StratumPair(p0[0], p1[0])
 
 
 def to_rr_op(t: RiskTable) -> RrOpCoords:

@@ -15,6 +15,13 @@ Two related questions are answered here:
 Compatibility semantics per system:
 
 ``prob``     the 3-tuple is ``(p00, p10, p01)``; delegate to the completion.
+             The odds ratio is variation independent of the baseline risk,
+             so the ``or`` completion misses the guard only near a face of
+             the cube.  Interior: every coordinate in [delta, 1 - delta],
+             with delta = ``INTERIOR_DELTA`` = 1e-3.  There |logit p| <=
+             log((1 - delta)/delta) = 6.907, so the completion's logit,
+             logit p10 + logit p01 - logit p00, is at most 20.72 in
+             magnitude and the completion lies in [1.0e-9, 1 - 1.0e-9].
 ``rr_op``    the 3-tuple is ``(alpha0, gamma0, gamma1)``.  The check
              constructs the witness table (log-RR target via the quadratic
              stratum solver with the interaction pinned to zero; log-OR
@@ -27,6 +34,21 @@ Compatibility semantics per system:
              roughly |alpha0| < log 1e12 = 27.6 with moderate odds
              products, and False beyond it.  At alpha0 = 700, for example,
              p0 < 1e-12.
+             Interior: |alpha0|, |gamma0| and |gamma0 + gamma1| (summed as
+             the kernel sums it) each at most L = ``INTERIOR_L`` = 8.  For a
+             stratum with log RR theta, log OP phi and risk logits a, b:
+             b - a = theta - lam with lam = log((1 - p1)/(1 - p0)), and theta
+             and lam have opposite signs.  log p + log(1 - p) =
+             -2 log(2 cosh(l/2)) at logit l, and 2 log cosh(l/2) is even and
+             1-Lipschitz in l, so |lam| - |theta| <= |a + b| = |phi|.  Hence
+             the log OR obeys |b - a| <= 2|theta| + |phi|, and
+             a, b = (phi -+ (b - a))/2 obey |a|, |b| <= |theta| + |phi|.  In
+             the interior every ``rr`` witness logit is at most 2L = 16; for
+             ``or``, stratum 0's are, its log OR o is at most 3L, and
+             stratum 1's (s +- o)/2 at most 2L.  So every witness risk of
+             both targets lies in [expit(-16), 1 - expit(-16)], about
+             [1.1e-7, 1 - 1.1e-7], attained at the corner alpha0 = -8,
+             gamma0 = 8, where 1 - p0 is about e^-16.
 ``rr_eta``   the 3-tuple is ``(alpha0, e0, e1)``.  The log-RR target needs
              the contrast level of each stratum to be attainable at the
              shared relative risk; the log-OR target needs some stratum-0
@@ -48,6 +70,14 @@ decisions.  Every risk, given or computed, passes one inclusive guard,
 ``in_guard`` (``[DEFAULT_EPS, 1 - DEFAULT_EPS]``, the rule `RiskTable`
 applies), so under ``prob`` and ``rr_op`` a verdict is True exactly when its
 witness table can be built.
+
+The ``prob``/``or`` and ``rr_op`` predicates first mark the points of a block
+inside their interior, which are compatible.  Each interior's margin is at
+least 1000 times the guard, so a few ulps of log, exp or sqrt error at any
+SIMD level cannot move a verdict there.  A block with at least half of its
+points interior runs the full kernel on the gathered rest only; any other
+block runs it on every point.  Either way every verdict is the full
+kernel's.
 """
 
 from __future__ import annotations
@@ -65,6 +95,12 @@ from .coords import (
 )
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
 from .table import MEASURES, _check_prob, check_finite, expit, in_guard, logit
+
+#: The ``prob``/``or`` interior: every coordinate in [INTERIOR_DELTA, 1 - INTERIOR_DELTA].
+INTERIOR_DELTA = 1e-3
+
+#: The ``rr_op`` interior: |alpha0|, |gamma0| and |gamma0 + gamma1| each at most INTERIOR_L.
+INTERIOR_L = 8.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +173,7 @@ def is_feasible(q: HomogeneityQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
+def _prob_kernel(points: np.ndarray, target: str) -> np.ndarray:
     p00, p10, p01 = points[:, 0], points[:, 1], points[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cand = _completion(target, p00, p10, p01)
@@ -146,15 +182,18 @@ def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
     return out
 
 
-def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
+def _rr_op_kernel(points: np.ndarray, target: str) -> np.ndarray:
     alpha0, gamma0, gamma1 = points[:, 0], points[:, 1], points[:, 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p0, p1 = rr_op_risks_vec(alpha0, gamma0)
-        ok = in_guard(p0) & in_guard(p1)
         if target == "rr":
             # both strata share theta = alpha0
-            p0, p1 = rr_op_risks_vec(alpha0, gamma0 + gamma1)
-            return ok & in_guard(p0) & in_guard(p1)
+            ok = np.ones(len(points), dtype=bool)
+            for p0, p1 in rr_op_risks_vec(alpha0, gamma0, gamma0 + gamma1):
+                ok &= in_guard(p0)
+                ok &= in_guard(p1)
+            return ok
+        (p0, p1), = rr_op_risks_vec(alpha0, gamma0)
+        ok = in_guard(p0) & in_guard(p1)
         # target "or": stratum 1 on its odds-product level with the matching
         # log odds ratio
         log_or0 = logit(p1) - logit(p0)
@@ -162,6 +201,47 @@ def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
         p11 = expit((s + log_or0) / 2.0)
         p10 = expit((s - log_or0) / 2.0)
         return ok & in_guard(p10) & in_guard(p11)
+
+
+def _prob_interior(points: np.ndarray) -> np.ndarray:
+    return ((points >= INTERIOR_DELTA) & (points <= 1.0 - INTERIOR_DELTA)).all(axis=1)
+
+
+def _rr_op_interior(points: np.ndarray) -> np.ndarray:
+    alpha0, gamma0, gamma1 = points[:, 0], points[:, 1], points[:, 2]
+    scratch = np.add(gamma0, gamma1)  # stratum 1's log odds product, as the kernel sums it
+    inside = np.abs(scratch, out=scratch) <= INTERIOR_L
+    for x in (alpha0, gamma0):
+        inside &= np.abs(x, out=scratch) <= INTERIOR_L
+    return inside
+
+
+def _interior_first(points: np.ndarray, target: str,
+                    interior: Callable[[np.ndarray], np.ndarray],
+                    kernel: Callable[[np.ndarray, str], np.ndarray]) -> np.ndarray:
+    """``kernel``'s verdicts, with the points ``interior`` proves compatible left out of it.
+
+    The half rule is the module docstring's: gathering most of a block costs
+    more than running the kernel on all of it.
+    """
+    inside = interior(points)
+    if 2 * np.count_nonzero(inside) < len(inside):
+        inside = None  # freed before the kernel's temporaries
+        return kernel(points, target)
+    rest = np.flatnonzero(~inside)
+    if rest.size:
+        inside[rest] = kernel(np.asfortranarray(points[rest]), target)
+    return inside
+
+
+def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
+    if target == "or":
+        return _interior_first(points, target, _prob_interior, _prob_kernel)
+    return _prob_kernel(points, target)
+
+
+def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
+    return _interior_first(points, target, _rr_op_interior, _rr_op_kernel)
 
 
 def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:

@@ -108,7 +108,7 @@ def _chunk_counts(prior: PriorSpec, target: str, index: int, size: int) -> np.nd
         points = np.asfortranarray(rng.random((min(BLOCK_ROWS, size - start), 3)))
         points *= widths
         points += lows
-        count += int(check_compatibility_batch(prior.system, points, target).sum())
+        count += int(np.count_nonzero(check_compatibility_batch(prior.system, points, target)))
     return np.array([count], dtype=np.int64)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from effectgeom import (
@@ -27,12 +27,15 @@ from effectgeom import (
     risk_difference,
     RrOpCoords,
 )
-from effectgeom import coords
+from effectgeom import coords, homogeneity, volume
 from effectgeom.homogeneity import (
     COMPAT_SYSTEMS,
+    INTERIOR_DELTA,
+    INTERIOR_L,
     check_compatibility_batch,
     completion_candidate,
 )
+from effectgeom.table import expit, logit
 
 from . import oracles
 from .conftest import probs
@@ -244,6 +247,115 @@ class TestRrOpCompatibility:
             s1 = StratumPair(p10, p11)
             assert math.log(odds_ratio(s1)) == pytest.approx(math.log(target_or), abs=1e-9)
             assert math.log(odds_product(s1)) == pytest.approx(s_target, abs=1e-9)
+
+
+# The margins the homogeneity docstring states: every witness risk of an
+# interior point is at least this far from 0 and from 1.
+_INTERIOR_MARGIN = {"prob": 1.0e-9, "rr_op": 1.1e-7}
+_KERNELS = {
+    ("prob", "or"): homogeneity._prob_kernel,
+    ("rr_op", "rr"): homogeneity._rr_op_kernel,
+    ("rr_op", "or"): homogeneity._rr_op_kernel,
+}
+# boxes that reach the guard, and an rr_op box wholly past it
+_GUARD_BOXES = {
+    "prob": [((0.0, 1.0),) * 3],
+    "rr_op": [((-40.0, 40.0), (-40.0, 40.0), (-80.0, 80.0)), ((700.0, 800.0), (-2.0, 2.0), (-2.0, 2.0))],
+}
+
+
+def _witness_risks(system, target, points):
+    """Every risk of the witness table the full kernel builds, one row per point."""
+    a, b, c = np.asfortranarray(points).T
+    if system == "prob":
+        return np.column_stack([a, b, c, homogeneity._completion("or", a, b, c)])
+    strata = [np.column_stack(pair) for pair in coords.rr_op_risks_vec(a, b, b + c)]
+    if target == "rr":
+        return np.hstack(strata)
+    p0, p1 = strata[0].T
+    s, log_or0 = b + c, logit(p1) - logit(p0)
+    return np.column_stack([p0, p1, expit((s + log_or0) / 2.0), expit((s - log_or0) / 2.0)])
+
+
+_INTERIOR = {"prob": homogeneity._prob_interior, "rr_op": homogeneity._rr_op_interior}
+
+
+def _interior_grid(system):
+    """9 values per axis across the interior region, its corners and faces included."""
+    if system == "prob":
+        return np.array(list(itertools.product(np.linspace(INTERIOR_DELTA, 1.0 - INTERIOR_DELTA, 9),
+                                                repeat=3)))
+    # alpha0, gamma0 and gamma0 + gamma1 on the grid, whose step of L/4 keeps every sum exact
+    a, g0, s = np.array(list(itertools.product(np.linspace(-INTERIOR_L, INTERIOR_L, 9), repeat=3))).T
+    return np.column_stack([a, g0, s - g0])
+
+
+def _kernel_is_true_with_margin(system, target, points):
+    points = np.asfortranarray(points)
+    assert _INTERIOR[system](points).all()
+    assert _KERNELS[system, target](points, target).all()
+    risks = _witness_risks(system, target, points)
+    margin = _INTERIOR_MARGIN[system]
+    assert risks.min() >= margin and risks.max() <= 1.0 - margin
+
+
+def _outside_points(system, n, rng):
+    """n points outside the interior, the first compatible, some of the rest not."""
+    if system == "prob":
+        edges = [(5e-4, 0.5, 0.5), (0.0, 0.5, 0.5), (1e-13, 0.5, 0.5), (1.0 - 1e-9, 1e-6, 1e-6)]
+        drawn = rng.random((n, 3))
+        drawn[:, 0] *= INTERIOR_DELTA
+    else:
+        edges = [(INTERIOR_L * 1.001, 0.0, 0.0), (30.0, 0.0, 0.0), (700.0, 0.0, 0.0)]
+        lows, highs = np.array(_GUARD_BOXES["rr_op"][0]).T
+        drawn = np.asfortranarray(lows + rng.random((2 * n, 3)) * (highs - lows))
+        drawn = drawn[~homogeneity._rr_op_interior(drawn)]
+    return np.vstack([edges, drawn])[:n]
+
+
+class TestInteriorRule:
+    """The interior tests decide only points the full kernel calls compatible."""
+
+    @pytest.mark.parametrize("system, target", list(_KERNELS))
+    def test_kernel_is_true_with_margin_on_the_interior_grid(self, system, target):
+        _kernel_is_true_with_margin(system, target, _interior_grid(system))
+
+    @given(st.floats(INTERIOR_DELTA, 1.0 - INTERIOR_DELTA), st.floats(INTERIOR_DELTA, 1.0 - INTERIOR_DELTA),
+           st.floats(INTERIOR_DELTA, 1.0 - INTERIOR_DELTA))
+    def test_prob_or_kernel_is_true_with_margin_inside(self, p00, p10, p01):
+        _kernel_is_true_with_margin("prob", "or", np.array([[p00, p10, p01]]))
+
+    @given(st.floats(-INTERIOR_L, INTERIOR_L), st.floats(-INTERIOR_L, INTERIOR_L),
+           st.floats(-INTERIOR_L, INTERIOR_L), st.sampled_from(["rr", "or"]))
+    def test_rr_op_kernel_is_true_with_margin_inside(self, alpha0, gamma0, s, target):
+        gamma1 = s - gamma0
+        assume(abs(gamma0 + gamma1) <= INTERIOR_L)
+        _kernel_is_true_with_margin("rr_op", target, np.array([[alpha0, gamma0, gamma1]]))
+
+    @pytest.mark.parametrize("n", [1, volume.BLOCK_ROWS - 1, volume.BLOCK_ROWS, volume.BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("system, target", list(_KERNELS))
+    def test_batch_equals_kernel_on_guard_reaching_boxes(self, system, target, n):
+        for i, box in enumerate(_GUARD_BOXES[system]):
+            lows, highs = np.array(box).T
+            points = np.asfortranarray(lows + np.random.default_rng(i).random((n, 3)) * (highs - lows))
+            batch = check_compatibility_batch(system, points, target)
+            assert np.array_equal(batch, _KERNELS[system, target](points, target))
+
+    @pytest.mark.parametrize("system, target", list(_KERNELS))
+    def test_batch_equals_kernel_at_every_share_outside(self, system, target):
+        rng = np.random.default_rng(24)
+        n = 256
+        kernel = _KERNELS[system, target]
+        outside = _outside_points(system, n, rng)
+        verdicts = kernel(np.asfortranarray(outside), target)
+        assert verdicts[0] and not verdicts.all()
+        inside = _interior_grid(system)[rng.permutation(9 ** 3)[:n]]
+        for k in (0, 1, n // 2 - 1, n // 2, n // 2 + 1, n):
+            points = np.asfortranarray(np.vstack([outside[:k], inside[:n - k]])[rng.permutation(n)])
+            assert np.count_nonzero(_INTERIOR[system](points)) == n - k
+            expected = kernel(points, target)
+            for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
+                assert np.array_equal(check_compatibility_batch(system, layout, target), expected), k
 
 
 class TestRrEtaCompatibility:

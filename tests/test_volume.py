@@ -215,14 +215,18 @@ class TestChunkBlocking:
 # raises it raises the volume queries' peak RSS.
 _PEAK_ARRAYS = {
     ("prob", "rd"): 2.25, ("prob", "rr"): 2.25, ("prob", "or"): 4.25,
-    ("rr_op", "rr"): 11.25, ("rr_op", "or"): 8.25,
+    ("rr_op", "rr"): 6.75, ("rr_op", "or"): 8.25,
     ("rr_eta", "rr"): 8.25, ("rr_eta", "or"): 9.5,
 }
 
+# The same on a block whose every point is inside the predicate's interior, where
+# only the interior test runs: prob/or on [0.1, 0.9]^3, rr_op on its default box.
+_INTERIOR_PEAK_ARRAYS = {("prob", "or"): 1.25, ("rr_op", "rr"): 1.5, ("rr_op", "or"): 1.5}
+_INTERIOR_BOXES = {"prob": ((0.1, 0.9),) * 3, "rr_op": None}
 
-@pytest.mark.parametrize("system, target", _PAIRS)
-def test_block_temporaries_stay_pinned(system, target):
-    prior = PriorSpec(system, n_samples=mc.CHUNK_SIZE, seed=31, bounds=_BLOCKING_BOXES[system])
+
+def _block_peak_arrays(system, target, bounds):
+    prior = PriorSpec(system, n_samples=mc.CHUNK_SIZE, seed=31, bounds=bounds)
     lows, highs = np.array(prior.bounds).T
     points = np.asfortranarray(lows + mc.chunk_rng(prior.seed, 0).random((B, 3)) * (highs - lows))
     check_compatibility_batch(system, points, target)  # warm numpy's caches
@@ -232,4 +236,15 @@ def test_block_temporaries_stay_pinned(system, target):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * B) <= _PEAK_ARRAYS[system, target]
+    return peak / (8 * B)
+
+
+@pytest.mark.parametrize("system, target", _PAIRS)
+def test_block_temporaries_stay_pinned(system, target):
+    assert _block_peak_arrays(system, target, _BLOCKING_BOXES[system]) <= _PEAK_ARRAYS[system, target]
+
+
+@pytest.mark.parametrize("system, target", list(_INTERIOR_PEAK_ARRAYS))
+def test_all_interior_block_temporaries_stay_pinned(system, target):
+    bounds = _INTERIOR_BOXES[system]
+    assert _block_peak_arrays(system, target, bounds) <= _INTERIOR_PEAK_ARRAYS[system, target]
