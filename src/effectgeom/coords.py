@@ -339,8 +339,14 @@ def _eta_floor(theta: np.ndarray) -> np.ndarray:
     """Closed-form floor m(e^theta) of the contrast; 0 where theta < 0."""
     up = np.maximum(theta, 0.0)
     r = np.exp(up)
-    m = np.log(2.0 * r - 0.5 + np.sqrt(3.0 * r * np.expm1(up)))
-    return np.where(theta < 0.0, 0.0, m)
+    root = np.multiply(3.0, r)
+    root *= np.expm1(up, out=up)
+    m = np.multiply(2.0, r, out=r)
+    m -= 0.5
+    m += np.sqrt(root, out=root)
+    np.log(m, out=m)
+    m[theta < 0.0] = 0.0
+    return m
 
 
 def _in_guard(p0: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -504,7 +510,10 @@ def eta_attainable_vec(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     with np.errstate(over="ignore"):
         floor = _eta_floor(theta)
-    return np.where(theta == 0.0, c > floor, c >= floor)
+    ok = c >= floor
+    zero = np.flatnonzero(theta == 0.0)  # the floor log 1.5 is not attained there
+    ok[zero] = c[zero] > floor[zero]
+    return ok
 
 
 def _branch_min_log_odds_ratio(theta, r, c, minus) -> np.ndarray:

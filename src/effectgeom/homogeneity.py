@@ -63,6 +63,23 @@ Compatibility semantics per system:
              only and ignores the guard on both strata in the same way
              (for example beyond |alpha0| = 27.6).  Under ``rr_eta`` a True
              verdict therefore does not promise a witness table.
+             Interior, for both targets: alpha0 in [-L, -tau] and e0 <= E,
+             with tau = ``INTERIOR_TAU`` = 1e-3 and E = ``INTERIOR_E`` = 2;
+             e1 is free.  For ``rr`` the floor is 0 where alpha0 < 0, so
+             every level is attainable.  For ``or`` the kernel solves the
+             g = -c branch at r = e^alpha0 < 1 and c0 = e^e0 <= e^2 (the
+             coords shape notes).  g falls through 0 at p0 = 0.5/(1.5 - r),
+             which is at least 1/3, so the root p0 is past it and
+             r p0 >= e^-L/3 = 1.1e-4.  On the curve g = -c0,
+             1 - p0 = e^-c0 (1 - r p0) p0/(r p0 + 0.5), at least
+             e^-(e^2) (1 - e^-tau)(1/3)/1.5 = 1.37e-7.  So p0 and r p0 lie
+             in [1.3e-7, 1 - 1.3e-7], and the kernel keeps that root.  Its
+             log OR is alpha0 + s + log p0 - log(r p0 + 0.5) =
+             s + log(p1/(p1 + 0.5)), with s = -c0 and p1 = r p0 < e^-tau,
+             for any computed p0 in (0, 1].  That is at most
+             -c0 - log 1.5 - log(1 + (e^tau - 1)/3), at least 3.3e-4 below
+             -c0 - log 1.5 < c1 - log 1.5, so the verdict is True.  This
+             uses the unguarded bound ``c1 - log 1.5`` of the Limit above.
 
 All checks are pure.  Each formula is written once, for numpy arrays; the
 scalar forms are the batch forms at one point, so both make the exact same
@@ -71,18 +88,24 @@ decisions.  Every risk, given or computed, passes one inclusive guard,
 applies), so under ``prob`` and ``rr_op`` a verdict is True exactly when its
 witness table can be built.
 
-The ``prob``/``or`` and ``rr_op`` predicates first mark the points of a block
-inside their interior, which are compatible.  Each interior's margin is at
-least 1000 times the guard, so a few ulps of log, exp or sqrt error at any
-SIMD level cannot move a verdict there.  A block with at least half of its
-points interior runs the full kernel on the gathered rest only; any other
-block runs it on every point.  Either way every verdict is the full
-kernel's.
+The ``prob``/``or``, ``rr_op`` and ``rr_eta`` predicates first mark the
+points of a block inside their interior, which are compatible.  Each
+interior's margin is at least 1000 times the guard, so a few ulps of log,
+exp or sqrt error at any SIMD level cannot move a verdict there.  The
+``rr_eta``/``or`` kernel then marks the points whose stratum-0 level is below
+the floor (`eta_attainable_vec`), which are not compatible: the root solve
+finds no root there.  One rule, `DECIDED_SHARE`, serves each of these tests:
+a block with at least 45% of its points decided runs the rest of the kernel
+on the gathered undecided points only, and any other block runs it on every
+point.  Either way every verdict is the full kernel's.  Per 16384-row block,
+gathering breaks even near 45% decided for the cheapest kernels
+(``prob``/``or`` and ``rr_op``/``rr``), and below 30% for the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -100,7 +123,16 @@ from .table import MEASURES, _check_prob, check_finite, expit, in_guard, logit
 INTERIOR_DELTA = 1e-3
 
 #: The ``rr_op`` interior: |alpha0|, |gamma0| and |gamma0 + gamma1| each at most INTERIOR_L.
+#: The ``rr_eta`` interior's alpha0 is at least -INTERIOR_L.
 INTERIOR_L = 8.0
+
+#: The ``rr_eta`` interior: alpha0 in [-INTERIOR_L, -INTERIOR_TAU] and e0 at most INTERIOR_E.
+INTERIOR_TAU = 1e-3
+INTERIOR_E = 2.0
+
+#: A block runs its kernel on the gathered undecided points only when at least
+#: this share of them is decided (the module docstring's rule).
+DECIDED_SHARE = 0.45
 
 
 @dataclass(frozen=True)
@@ -173,8 +205,7 @@ def is_feasible(q: HomogeneityQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _prob_kernel(points: np.ndarray, target: str) -> np.ndarray:
-    p00, p10, p01 = points[:, 0], points[:, 1], points[:, 2]
+def _prob_kernel(p00, p10, p01, target: str) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cand = _completion(target, p00, p10, p01)
         out = in_guard(cand)
@@ -182,12 +213,11 @@ def _prob_kernel(points: np.ndarray, target: str) -> np.ndarray:
     return out
 
 
-def _rr_op_kernel(points: np.ndarray, target: str) -> np.ndarray:
-    alpha0, gamma0, gamma1 = points[:, 0], points[:, 1], points[:, 2]
+def _rr_op_kernel(alpha0, gamma0, gamma1, target: str) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if target == "rr":
             # both strata share theta = alpha0
-            ok = np.ones(len(points), dtype=bool)
+            ok = np.ones(len(alpha0), dtype=bool)
             for p0, p1 in rr_op_risks_vec(alpha0, gamma0, gamma0 + gamma1):
                 ok &= in_guard(p0)
                 ok &= in_guard(p1)
@@ -195,12 +225,41 @@ def _rr_op_kernel(points: np.ndarray, target: str) -> np.ndarray:
         (p0, p1), = rr_op_risks_vec(alpha0, gamma0)
         ok = in_guard(p0) & in_guard(p1)
         # target "or": stratum 1 on its odds-product level with the matching
-        # log odds ratio
-        log_or0 = logit(p1) - logit(p0)
-        s = gamma0 + gamma1
-        p11 = expit((s + log_or0) / 2.0)
-        p10 = expit((s - log_or0) / 2.0)
-        return ok & in_guard(p10) & in_guard(p11)
+        # log odds ratio, built in the two risk arrays and one more
+        log_or0 = logit(p1, out=p1)
+        log_or0 -= logit(p0, out=p0)
+        s = np.add(gamma0, gamma1, out=p0)
+        p10 = np.subtract(s, log_or0)
+        p10 /= 2.0
+        ok &= in_guard(expit(p10, out=p10))
+        p11 = np.add(s, log_or0, out=p10)
+        p11 /= 2.0
+        ok &= in_guard(expit(p11, out=p11))
+        return ok
+
+
+def _rr_eta_kernel(alpha0, e0, e1, target: str) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if target == "or":
+            # below the floor the root solve finds no root, so its log OR is
+            # +inf and the verdict False (coords shape notes): solve the rest only
+            return _decide_rest(eta_attainable_vec(alpha0, np.exp(e0)), False, _rr_eta_or_solve,
+                                (alpha0, e0, e1))
+        c0 = np.exp(e0)
+        c1 = np.add(e0, e1)
+        np.exp(c1, out=c1)
+        # attainability rises with the level, so the lower level decides
+        return eta_attainable_vec(alpha0, np.minimum(c0, c1, out=c1))
+
+
+def _rr_eta_or_solve(alpha0, e0, e1) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c0 = np.exp(e0)
+        best = eta_min_log_odds_ratio_vec(alpha0, c0)
+        c1 = np.add(e0, e1, out=c0)  # c0 is spent
+        np.exp(c1, out=c1)
+        c1 -= LOG_1P5
+        return best < c1
 
 
 def _prob_interior(points: np.ndarray) -> np.ndarray:
@@ -216,28 +275,45 @@ def _rr_op_interior(points: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _rr_eta_interior(points: np.ndarray) -> np.ndarray:
+    alpha0, e0 = points[:, 0], points[:, 1]
+    inside = alpha0 >= -INTERIOR_L
+    inside &= alpha0 <= -INTERIOR_TAU
+    inside &= e0 <= INTERIOR_E
+    return inside
+
+
+def _decide_rest(undecided: np.ndarray, decided_verdict: bool,
+                 kernel: Callable[..., np.ndarray], columns) -> np.ndarray:
+    """``kernel(*columns)``, given that it is ``decided_verdict`` wherever ``undecided`` is False.
+
+    The kernel runs on the gathered undecided points when at least
+    `DECIDED_SHARE` of the block is decided, and on every point otherwise.
+    """
+    if np.count_nonzero(undecided) > (1.0 - DECIDED_SHARE) * len(undecided):
+        del undecided  # freed before the kernel's temporaries
+        return kernel(*columns)
+    rest = np.flatnonzero(undecided)
+    verdicts = ~undecided if decided_verdict else undecided
+    if rest.size:
+        verdicts[rest] = kernel(*(column[rest] for column in columns))
+    return verdicts
+
+
 def _interior_first(points: np.ndarray, target: str,
                     interior: Callable[[np.ndarray], np.ndarray],
-                    kernel: Callable[[np.ndarray, str], np.ndarray]) -> np.ndarray:
+                    kernel: Callable[..., np.ndarray]) -> np.ndarray:
     """``kernel``'s verdicts, with the points ``interior`` proves compatible left out of it.
 
-    The half rule is the module docstring's: gathering most of a block costs
-    more than running the kernel on all of it.
+    The kernel reads the block's unit-stride columns, and a gather takes only those.
     """
-    inside = interior(points)
-    if 2 * np.count_nonzero(inside) < len(inside):
-        inside = None  # freed before the kernel's temporaries
-        return kernel(points, target)
-    rest = np.flatnonzero(~inside)
-    if rest.size:
-        inside[rest] = kernel(np.asfortranarray(points[rest]), target)
-    return inside
+    return _decide_rest(~interior(points), True, partial(kernel, target=target), points.T)
 
 
 def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
     if target == "or":
         return _interior_first(points, target, _prob_interior, _prob_kernel)
-    return _prob_kernel(points, target)
+    return _prob_kernel(*points.T, target)
 
 
 def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
@@ -245,19 +321,7 @@ def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
 
 
 def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:
-    alpha0, e0, e1 = points[:, 0], points[:, 1], points[:, 2]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c0 = np.exp(e0)
-        if target == "rr":
-            c1 = np.add(e0, e1)
-            np.exp(c1, out=c1)
-            # attainability rises with the level, so the lower level decides
-            return eta_attainable_vec(alpha0, np.minimum(c0, c1, out=c1))
-        best = eta_min_log_odds_ratio_vec(alpha0, c0)
-        c1 = np.add(e0, e1, out=c0)  # c0 is spent
-        np.exp(c1, out=c1)
-        c1 -= LOG_1P5
-        return best < c1
+    return _interior_first(points, target, _rr_eta_interior, _rr_eta_kernel)
 
 
 class CompatSystem(NamedTuple):

@@ -44,18 +44,27 @@ def in_guard(p):
     return (p >= DEFAULT_EPS) & (p <= 1.0 - DEFAULT_EPS)
 
 
-def logit(p):
-    """Log odds ``log p - log1p(-p)``; floats or arrays."""
-    return np.log(p) - np.log1p(-p)
+def logit(p, out=None):
+    """Log odds ``log p - log1p(-p)``; floats or arrays.
+
+    An array result is written to ``out`` if given, which may be ``p`` itself.
+    """
+    minus = np.log1p(-p)
+    y = np.log(p, out=out)
+    y -= minus
+    return y
 
 
-def expit(x):
+def expit(x, out=None):
     """Logistic function ``1 / (1 + exp(-x))``, one formula for both signs; floats or arrays.
 
     Within two ulps of the true value for x >= -700; 0 where exp(-x) overflows.
+    An array result is written to ``out`` if given, which may be ``x`` itself.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        y = np.exp(np.negative(x, out=out), out=out)
+    y += 1.0
+    return np.divide(1.0, y, out=out)
 
 
 def check_finite(name: str, value) -> float:

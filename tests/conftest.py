@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from effectgeom import RiskTable, StratumPair
+
+# a deep random check, chosen with --hypothesis-profile=thorough; CI runs the
+# interior margin proofs under it
+settings.register_profile("thorough", max_examples=5000, deadline=None)
 
 # interior probabilities comfortably away from the open-interval guard
 probs = st.floats(min_value=1e-4, max_value=1.0 - 1e-4, allow_nan=False)

@@ -30,6 +30,7 @@ from effectgeom import (
     to_rr_eta,
     to_rr_op,
 )
+from effectgeom import coords
 from effectgeom.coords import eta_attainable_vec, eta_min_log_odds_ratio_vec
 
 from . import oracles
@@ -223,6 +224,23 @@ class TestEtaInfimum:
         assert len(solve_stratum_from_rr_eta(theta, below)) == 0
         mins = eta_min_log_odds_ratio_vec(np.full(2, theta), np.array([floor, below]))
         assert math.isfinite(mins[0]) and mins[1] == math.inf
+
+    @given(st.floats(0.0, 30.0), st.integers(-8, 8), st.floats(-1e-9, 1e-9))
+    def test_no_root_wherever_the_floor_test_fails(self, theta, ulps, rel):
+        # the rr_eta "or" predicate calls a level below the floor incompatible
+        # without solving, so no solver may find a root there, also inside the
+        # band |D| <= _D_BAND b^2 where rounding can give D either sign
+        floor = eta_infimum(theta)
+        levels = np.array([floor + ulps * math.ulp(floor), floor * (1.0 + rel)])
+        r, k = math.exp(theta), math.exp(levels[0])
+        b = r - 0.5 - k
+        assert abs(b * b - 2.0 * r * math.expm1(levels[0])) <= coords._D_BAND * b * b
+        thetas = np.full(2, theta)
+        mins = eta_min_log_odds_ratio_vec(thetas, levels)
+        for level, attainable, best in zip(levels, eta_attainable_vec(thetas, levels), mins):
+            if not attainable:
+                assert best == math.inf
+                assert solve_stratum_from_rr_eta(theta, level) == ()
 
     def test_contrast_range_structure_on_theta_grid(self):
         # sweep [-3, 3]: the attainable contrast is unbounded above for all

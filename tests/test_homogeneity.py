@@ -30,8 +30,11 @@ from effectgeom import (
 from effectgeom import coords, homogeneity, volume
 from effectgeom.homogeneity import (
     COMPAT_SYSTEMS,
+    DECIDED_SHARE,
     INTERIOR_DELTA,
+    INTERIOR_E,
     INTERIOR_L,
+    INTERIOR_TAU,
     check_compatibility_batch,
     completion_candidate,
 )
@@ -250,18 +253,33 @@ class TestRrOpCompatibility:
 
 
 # The margins the homogeneity docstring states: every witness risk of an
-# interior point is at least this far from 0 and from 1.
-_INTERIOR_MARGIN = {"prob": 1.0e-9, "rr_op": 1.1e-7}
+# interior point is at least this far from 0 and from 1.  Under rr_eta the
+# witness is stratum 0's g = -c root, and the rr_eta/or verdict also clears
+# its limit by _RR_ETA_LOG_OR_MARGIN.
+_INTERIOR_MARGIN = {"prob": 1.0e-9, "rr_op": 1.1e-7, "rr_eta": 1.3e-7}
+_RR_ETA_LOG_OR_MARGIN = 3.3e-4
+# the full kernel of each gated (system, target), run on every point
 _KERNELS = {
     ("prob", "or"): homogeneity._prob_kernel,
     ("rr_op", "rr"): homogeneity._rr_op_kernel,
     ("rr_op", "or"): homogeneity._rr_op_kernel,
+    ("rr_eta", "rr"): homogeneity._rr_eta_kernel,
+    ("rr_eta", "or"): lambda alpha0, e0, e1, target: homogeneity._rr_eta_or_solve(alpha0, e0, e1),
 }
-# boxes that reach the guard, and an rr_op box wholly past it
+# boxes that reach the guard, an rr_op and an rr_eta box wholly past it, and
+# the four volume_rr_eta workload boxes
 _GUARD_BOXES = {
     "prob": [((0.0, 1.0),) * 3],
     "rr_op": [((-40.0, 40.0), (-40.0, 40.0), (-80.0, 80.0)), ((700.0, 800.0), (-2.0, 2.0), (-2.0, 2.0))],
+    "rr_eta": [((-40.0, 40.0), (-5.0, 5.0), (-5.0, 5.0)), ((-9.0, 1.0), (-3.0, 4.0), (-40.0, 40.0)),
+               ((-800.0, -700.0), (-2.0, 2.0), (-2.0, 2.0)),
+               ((-1.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)), ((-1.5, 0.0), (-1.0, 1.0), (-1.0, 1.0)),
+               ((0.0, 1.5), (-1.0, 1.0), (-1.0, 1.0)), ((-3.0, 3.0), (-2.0, 2.0), (-1.0, 1.0))],
 }
+
+
+def _kernel(system, target, points):
+    return _KERNELS[system, target](*np.asfortranarray(points).T, target)
 
 
 def _witness_risks(system, target, points):
@@ -269,6 +287,11 @@ def _witness_risks(system, target, points):
     a, b, c = np.asfortranarray(points).T
     if system == "prob":
         return np.column_stack([a, b, c, homogeneity._completion("or", a, b, c)])
+    if system == "rr_eta":
+        r = np.exp(a)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as its callers run it
+            _, p0, _ = coords._branch_roots(a, r, np.exp(b), np.ones(len(a), dtype=bool))
+        return np.column_stack([p0, r * p0])
     strata = [np.column_stack(pair) for pair in coords.rr_op_risks_vec(a, b, b + c)]
     if target == "rr":
         return np.hstack(strata)
@@ -277,7 +300,12 @@ def _witness_risks(system, target, points):
     return np.column_stack([p0, p1, expit((s + log_or0) / 2.0), expit((s - log_or0) / 2.0)])
 
 
-_INTERIOR = {"prob": homogeneity._prob_interior, "rr_op": homogeneity._rr_op_interior}
+_INTERIOR = {"prob": homogeneity._prob_interior, "rr_op": homogeneity._rr_op_interior,
+             "rr_eta": homogeneity._rr_eta_interior}
+
+
+def _in_interior(system, points):
+    return _INTERIOR[system](np.asfortranarray(points))
 
 
 def _interior_grid(system):
@@ -285,6 +313,13 @@ def _interior_grid(system):
     if system == "prob":
         return np.array(list(itertools.product(np.linspace(INTERIOR_DELTA, 1.0 - INTERIOR_DELTA, 9),
                                                 repeat=3)))
+    if system == "rr_eta":
+        # e0 has no lower face and e1 no face at all: levels that underflow to
+        # 0 and overflow to inf stand in for them
+        return np.array(list(itertools.product(
+            np.linspace(-INTERIOR_L, -INTERIOR_TAU, 9),
+            [-800.0, -40.0, -8.0, -2.0, -1.0, 0.0, 1.0, 1.5, INTERIOR_E],
+            [-1000.0, -40.0, -8.0, -1.0, 0.0, 1.0, 8.0, 40.0, 1000.0])))
     # alpha0, gamma0 and gamma0 + gamma1 on the grid, whose step of L/4 keeps every sum exact
     a, g0, s = np.array(list(itertools.product(np.linspace(-INTERIOR_L, INTERIOR_L, 9), repeat=3))).T
     return np.column_stack([a, g0, s - g0])
@@ -292,11 +327,17 @@ def _interior_grid(system):
 
 def _kernel_is_true_with_margin(system, target, points):
     points = np.asfortranarray(points)
-    assert _INTERIOR[system](points).all()
-    assert _KERNELS[system, target](points, target).all()
+    assert _in_interior(system, points).all()
+    assert _kernel(system, target, points).all()
     risks = _witness_risks(system, target, points)
     margin = _INTERIOR_MARGIN[system]
     assert risks.min() >= margin and risks.max() <= 1.0 - margin
+    if (system, target) == ("rr_eta", "or"):
+        alpha0, e0, e1 = points.T
+        with np.errstate(over="ignore"):
+            limit = np.exp(e0 + e1) - coords.LOG_1P5
+        gap = limit - coords.eta_min_log_odds_ratio_vec(alpha0, np.exp(e0))
+        assert gap.min() >= _RR_ETA_LOG_OR_MARGIN
 
 
 def _outside_points(system, n, rng):
@@ -305,11 +346,14 @@ def _outside_points(system, n, rng):
         edges = [(5e-4, 0.5, 0.5), (0.0, 0.5, 0.5), (1e-13, 0.5, 0.5), (1.0 - 1e-9, 1e-6, 1e-6)]
         drawn = rng.random((n, 3))
         drawn[:, 0] *= INTERIOR_DELTA
-    else:
+        return np.vstack([edges, drawn])[:n]
+    if system == "rr_op":
         edges = [(INTERIOR_L * 1.001, 0.0, 0.0), (30.0, 0.0, 0.0), (700.0, 0.0, 0.0)]
-        lows, highs = np.array(_GUARD_BOXES["rr_op"][0]).T
-        drawn = np.asfortranarray(lows + rng.random((2 * n, 3)) * (highs - lows))
-        drawn = drawn[~homogeneity._rr_op_interior(drawn)]
+    else:
+        edges = [(-INTERIOR_L * 1.001, 0.0, 0.0), (1.0, -1.0, 0.0), (-INTERIOR_TAU / 2, 30.0, 0.0)]
+    lows, highs = np.array(_GUARD_BOXES[system][0]).T
+    drawn = np.asfortranarray(lows + rng.random((2 * n, 3)) * (highs - lows))
+    drawn = drawn[~_in_interior(system, drawn)]
     return np.vstack([edges, drawn])[:n]
 
 
@@ -332,30 +376,58 @@ class TestInteriorRule:
         assume(abs(gamma0 + gamma1) <= INTERIOR_L)
         _kernel_is_true_with_margin("rr_op", target, np.array([[alpha0, gamma0, gamma1]]))
 
+    @given(st.floats(-INTERIOR_L, -INTERIOR_TAU), st.floats(-1e3, INTERIOR_E), st.floats(-1e3, 1e3),
+           st.sampled_from(["rr", "or"]))
+    def test_rr_eta_kernel_is_true_with_margin_inside(self, alpha0, e0, e1, target):
+        _kernel_is_true_with_margin("rr_eta", target, np.array([[alpha0, e0, e1]]))
+
     @pytest.mark.parametrize("n", [1, volume.BLOCK_ROWS - 1, volume.BLOCK_ROWS, volume.BLOCK_ROWS + 1])
     @pytest.mark.parametrize("system, target", list(_KERNELS))
     def test_batch_equals_kernel_on_guard_reaching_boxes(self, system, target, n):
         for i, box in enumerate(_GUARD_BOXES[system]):
             lows, highs = np.array(box).T
-            points = np.asfortranarray(lows + np.random.default_rng(i).random((n, 3)) * (highs - lows))
-            batch = check_compatibility_batch(system, points, target)
-            assert np.array_equal(batch, _KERNELS[system, target](points, target))
+            points = lows + np.random.default_rng(i).random((n, 3)) * (highs - lows)
+            expected = _kernel(system, target, points)
+            for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
+                assert np.array_equal(check_compatibility_batch(system, layout, target), expected), box
 
     @pytest.mark.parametrize("system, target", list(_KERNELS))
     def test_batch_equals_kernel_at_every_share_outside(self, system, target):
         rng = np.random.default_rng(24)
         n = 256
-        kernel = _KERNELS[system, target]
         outside = _outside_points(system, n, rng)
-        verdicts = kernel(np.asfortranarray(outside), target)
+        verdicts = _kernel(system, target, outside)
         assert verdicts[0] and not verdicts.all()
         inside = _interior_grid(system)[rng.permutation(9 ** 3)[:n]]
-        for k in (0, 1, n // 2 - 1, n // 2, n // 2 + 1, n):
+        edge = int((1.0 - DECIDED_SHARE) * n)  # the most points outside that are gathered
+        for k in (0, 1, edge - 1, edge, edge + 1, n):
             points = np.asfortranarray(np.vstack([outside[:k], inside[:n - k]])[rng.permutation(n)])
-            assert np.count_nonzero(_INTERIOR[system](points)) == n - k
-            expected = kernel(points, target)
+            assert np.count_nonzero(_in_interior(system, points)) == n - k
+            expected = _kernel(system, target, points)
             for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
                 assert np.array_equal(check_compatibility_batch(system, layout, target), expected), k
+
+    def test_rr_eta_or_floor_test_equals_the_solve_at_every_share_below_the_floor(self):
+        # alpha0 >= 0 throughout, so only the floor test decides; log levels
+        # a few ulps either side of the floor's, and far from it
+        rng = np.random.default_rng(25)
+        n = 1024
+        alpha0 = rng.uniform(0.0, 3.0, n)
+        alpha0[:8] = 0.0
+        e0 = np.log(coords._eta_floor(alpha0)) + rng.integers(-4, 5, n) * np.spacing(np.log(1.5))
+        e0[::3] += rng.uniform(-2.0, 2.0, len(e0[::3]))
+        pool = np.column_stack([alpha0, e0, rng.uniform(-1.0, 1.0, n)])
+        below = coords.eta_attainable_vec(alpha0, np.exp(e0))
+        np.logical_not(below, out=below)
+        below, above = pool[below], pool[~below]
+        n = 256
+        assert len(below) >= n and len(above) >= n
+        edge = int((1.0 - DECIDED_SHARE) * n)  # the most undecided points that are gathered
+        for k in (0, 1, n - edge - 1, n - edge, n - edge + 1, n):
+            points = np.asfortranarray(np.vstack([below[:k], above[:n - k]])[rng.permutation(n)])
+            expected = homogeneity._rr_eta_or_solve(*points.T)
+            for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
+                assert np.array_equal(check_compatibility_batch("rr_eta", layout, "or"), expected), k
 
 
 class TestRrEtaCompatibility:

@@ -214,15 +214,18 @@ class TestChunkBlocking:
 # worker threads each hold this much beside their block, so a kernel edit that
 # raises it raises the volume queries' peak RSS.
 _PEAK_ARRAYS = {
-    ("prob", "rd"): 2.25, ("prob", "rr"): 2.25, ("prob", "or"): 4.25,
-    ("rr_op", "rr"): 6.75, ("rr_op", "or"): 8.25,
-    ("rr_eta", "rr"): 8.25, ("rr_eta", "or"): 9.5,
+    ("prob", "rd"): 2.25, ("prob", "rr"): 2.25, ("prob", "or"): 1.25,
+    ("rr_op", "rr"): 6.75, ("rr_op", "or"): 5.25,
+    ("rr_eta", "rr"): 5.0, ("rr_eta", "or"): 4.5,
 }
 
 # The same on a block whose every point is inside the predicate's interior, where
-# only the interior test runs: prob/or on [0.1, 0.9]^3, rr_op on its default box.
-_INTERIOR_PEAK_ARRAYS = {("prob", "or"): 1.25, ("rr_op", "rr"): 1.5, ("rr_op", "or"): 1.5}
-_INTERIOR_BOXES = {"prob": ((0.1, 0.9),) * 3, "rr_op": None}
+# only the interior test runs: prob/or on [0.1, 0.9]^3, rr_op on its default box,
+# rr_eta on the default box's alpha0 <= -0.5 part.
+_INTERIOR_PEAK_ARRAYS = {("prob", "or"): 1.25, ("rr_op", "rr"): 1.5, ("rr_op", "or"): 1.5,
+                         ("rr_eta", "rr"): 0.5, ("rr_eta", "or"): 0.5}
+_INTERIOR_BOXES = {"prob": ((0.1, 0.9),) * 3, "rr_op": None,
+                   "rr_eta": ((-1.5, -0.5), (-1.0, 1.0), (-1.0, 1.0))}
 
 
 def _block_peak_arrays(system, target, bounds):
