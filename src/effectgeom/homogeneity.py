@@ -99,7 +99,7 @@ a block with at least 45% of its points decided runs the rest of the kernel
 on the gathered undecided points only, and any other block runs it on every
 point.  Either way every verdict is the full kernel's.  Per 16384-row block,
 gathering breaks even near 45% decided for the cheapest kernels
-(``prob``/``or`` and ``rr_op``/``rr``), and below 30% for the others.
+(``prob``/``or`` and ``rr_op``/``rr``), and at 30% or less for the others.
 """
 
 from __future__ import annotations
