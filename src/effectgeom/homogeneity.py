@@ -88,15 +88,17 @@ decisions.  Every risk, given or computed, passes one inclusive guard,
 applies), so under ``prob`` and ``rr_op`` a verdict is True exactly when its
 witness table can be built.
 
-The ``prob``/``or``, ``rr_op`` and ``rr_eta`` predicates first mark the
-points of a block inside their interior, which are compatible.  Each
-interior's margin is at least 1000 times the guard, so a few ulps of log,
-exp or sqrt error at any SIMD level cannot move a verdict there.  The
-``rr_eta``/``or`` kernel then marks the points whose stratum-0 level is below
-the floor (`eta_attainable_vec`), which are not compatible: the root solve
-finds no root there.  One rule, `DECIDED_SHARE`, serves each of these tests:
-a block with at least 45% of its points decided runs the rest of the kernel
-on the gathered undecided points only, and any other block runs it on every
+Each `COMPAT_SYSTEMS` record lists, per target, the tests that decide points
+before the kernel, each with its verdict.  The ``prob``/``or``, ``rr_op`` and
+``rr_eta`` entries first mark the points of a block inside their interior,
+which are compatible.  Each interior's margin is at least 1000 times the
+guard, so a few ulps of log, exp or sqrt error at any SIMD level cannot move
+a verdict there.  The ``rr_eta``/``or`` entry then marks the points whose
+stratum-0 level is below the floor (`eta_attainable_vec`), which are not
+compatible: the root solve finds no root there.  `_decide` runs the tests in
+order under one rule, `DECIDED_SHARE`: a block with at least 45% of its
+points decided by a test runs the remaining tests and the kernel on the
+gathered undecided points only, and any other block runs them on every
 point.  Either way every verdict is the full kernel's.  Per 16384-row block,
 gathering breaks even near 45% decided for the cheapest kernels
 (``prob``/``or`` and ``rr_op``/``rr``), and at 30% or less for the others.
@@ -201,7 +203,9 @@ def is_feasible(q: HomogeneityQuery) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# batch predicates, one per (system, target)
+# kernels, one per system, and the tests that decide points before them; a
+# test takes a block's three columns, as a kernel does, and returns the mask
+# of the points it leaves undecided
 # ---------------------------------------------------------------------------
 
 
@@ -240,106 +244,99 @@ def _rr_op_kernel(alpha0, gamma0, gamma1, target: str) -> np.ndarray:
 
 def _rr_eta_kernel(alpha0, e0, e1, target: str) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if target == "or":
-            # below the floor the root solve finds no root, so its log OR is
-            # +inf and the verdict False (coords shape notes): solve the rest only
-            return _decide_rest(eta_attainable_vec(alpha0, np.exp(e0)), False, _rr_eta_or_solve,
-                                (alpha0, e0, e1))
         c0 = np.exp(e0)
+        if target == "or":
+            best = eta_min_log_odds_ratio_vec(alpha0, c0)
+            c1 = np.add(e0, e1, out=c0)  # c0 is spent
+            np.exp(c1, out=c1)
+            c1 -= LOG_1P5
+            return best < c1
         c1 = np.add(e0, e1)
         np.exp(c1, out=c1)
         # attainability rises with the level, so the lower level decides
         return eta_attainable_vec(alpha0, np.minimum(c0, c1, out=c1))
 
 
-def _rr_eta_or_solve(alpha0, e0, e1) -> np.ndarray:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c0 = np.exp(e0)
-        best = eta_min_log_odds_ratio_vec(alpha0, c0)
-        c1 = np.add(e0, e1, out=c0)  # c0 is spent
-        np.exp(c1, out=c1)
-        c1 -= LOG_1P5
-        return best < c1
+def _outside_prob_interior(p00, p10, p01) -> np.ndarray:
+    outside = p00 < INTERIOR_DELTA
+    outside |= p00 > 1.0 - INTERIOR_DELTA
+    for x in (p10, p01):
+        outside |= x < INTERIOR_DELTA
+        outside |= x > 1.0 - INTERIOR_DELTA
+    return outside
 
 
-def _prob_interior(points: np.ndarray) -> np.ndarray:
-    return ((points >= INTERIOR_DELTA) & (points <= 1.0 - INTERIOR_DELTA)).all(axis=1)
-
-
-def _rr_op_interior(points: np.ndarray) -> np.ndarray:
-    alpha0, gamma0, gamma1 = points[:, 0], points[:, 1], points[:, 2]
-    scratch = np.add(gamma0, gamma1)  # stratum 1's log odds product, as the kernel sums it
-    inside = np.abs(scratch, out=scratch) <= INTERIOR_L
+def _outside_rr_op_interior(alpha0, gamma0, gamma1) -> np.ndarray:
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, so outside
+        scratch = np.add(gamma0, gamma1)  # stratum 1's log odds product, as the kernel sums it
+    outside = np.abs(scratch, out=scratch) > INTERIOR_L
     for x in (alpha0, gamma0):
-        inside &= np.abs(x, out=scratch) <= INTERIOR_L
-    return inside
+        outside |= np.abs(x, out=scratch) > INTERIOR_L
+    return outside
 
 
-def _rr_eta_interior(points: np.ndarray) -> np.ndarray:
-    alpha0, e0 = points[:, 0], points[:, 1]
-    inside = alpha0 >= -INTERIOR_L
-    inside &= alpha0 <= -INTERIOR_TAU
-    inside &= e0 <= INTERIOR_E
-    return inside
+def _outside_rr_eta_interior(alpha0, e0, e1) -> np.ndarray:
+    outside = alpha0 < -INTERIOR_L
+    outside |= alpha0 > -INTERIOR_TAU
+    outside |= e0 > INTERIOR_E
+    return outside
 
 
-def _decide_rest(undecided: np.ndarray, decided_verdict: bool,
-                 kernel: Callable[..., np.ndarray], columns) -> np.ndarray:
-    """``kernel(*columns)``, given that it is ``decided_verdict`` wherever ``undecided`` is False.
+def _rr_eta_level0_attainable(alpha0, e0, e1) -> np.ndarray:
+    # below the floor the root solve finds no root, so its log OR is +inf and
+    # the or verdict False (coords shape notes)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return eta_attainable_vec(alpha0, np.exp(e0))
 
-    The kernel runs on the gathered undecided points when at least
-    `DECIDED_SHARE` of the block is decided, and on every point otherwise.
+
+def _decide(tests, kernel: Callable[..., np.ndarray], columns) -> np.ndarray:
+    """``kernel(*columns)``, with the points ``tests`` decide left out of it.
+
+    Each (test, verdict) in turn marks the points it leaves undecided; the
+    kernel is ``verdict`` on the others.  The remaining tests and the kernel
+    run on the gathered undecided points when at least `DECIDED_SHARE` of the
+    block is decided, and on every point otherwise.
     """
+    if not tests:
+        return kernel(*columns)
+    (test, decided_verdict), tests = tests[0], tests[1:]
+    undecided = test(*columns)
     if np.count_nonzero(undecided) > (1.0 - DECIDED_SHARE) * len(undecided):
         del undecided  # freed before the kernel's temporaries
-        return kernel(*columns)
+        return _decide(tests, kernel, columns)
     rest = np.flatnonzero(undecided)
     verdicts = ~undecided if decided_verdict else undecided
     if rest.size:
-        verdicts[rest] = kernel(*(column[rest] for column in columns))
+        verdicts[rest] = _decide(tests, kernel, [column[rest] for column in columns])
     return verdicts
 
 
-def _interior_first(points: np.ndarray, target: str,
-                    interior: Callable[[np.ndarray], np.ndarray],
-                    kernel: Callable[..., np.ndarray]) -> np.ndarray:
-    """``kernel``'s verdicts, with the points ``interior`` proves compatible left out of it.
-
-    The kernel reads the block's unit-stride columns, and a gather takes only those.
-    """
-    return _decide_rest(~interior(points), True, partial(kernel, target=target), points.T)
-
-
-def _prob_batch(points: np.ndarray, target: str) -> np.ndarray:
-    if target == "or":
-        return _interior_first(points, target, _prob_interior, _prob_kernel)
-    return _prob_kernel(*points.T, target)
-
-
-def _rr_op_batch(points: np.ndarray, target: str) -> np.ndarray:
-    return _interior_first(points, target, _rr_op_interior, _rr_op_kernel)
-
-
-def _rr_eta_batch(points: np.ndarray, target: str) -> np.ndarray:
-    return _interior_first(points, target, _rr_eta_interior, _rr_eta_kernel)
-
-
 class CompatSystem(NamedTuple):
-    """A compatibility system: its point's coordinates, default box, targets and predicate."""
+    """A compatibility system: its point's coordinates, default box and kernel, and for each
+    target the (test, verdict) pairs `_decide` runs before ``kernel(*columns, target=target)``."""
 
     coords: tuple[str, str, str]
     bounds: tuple[tuple[float, float], ...]
-    targets: tuple[str, ...]
-    batch: Callable[[np.ndarray, str], np.ndarray]
+    kernel: Callable[..., np.ndarray]
+    decide_first: dict[str, tuple[tuple[Callable[..., np.ndarray], bool], ...]]
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return tuple(self.decide_first)
 
 
 #: The systems a compatibility query or prior may use; "rd" needs the probability scale.
 COMPAT_SYSTEMS = {
-    "prob": CompatSystem(("p00", "p10", "p01"), ((0.0, 1.0),) * 3, ("rd", "rr", "or"), _prob_batch),
-    "rr_op": CompatSystem(("alpha0", "gamma0", "gamma1"), ((-2.0, 2.0),) * 3, ("rr", "or"),
-                          _rr_op_batch),
+    "prob": CompatSystem(("p00", "p10", "p01"), ((0.0, 1.0),) * 3, _prob_kernel,
+                         {"rd": (), "rr": (), "or": ((_outside_prob_interior, True),)}),
+    "rr_op": CompatSystem(("alpha0", "gamma0", "gamma1"), ((-2.0, 2.0),) * 3, _rr_op_kernel,
+                          {"rr": ((_outside_rr_op_interior, True),),
+                           "or": ((_outside_rr_op_interior, True),)}),
     "rr_eta": CompatSystem(("alpha0", "e0", "e1"), ((-1.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)),
-                           ("rr", "or"), _rr_eta_batch),
+                           _rr_eta_kernel,
+                           {"rr": ((_outside_rr_eta_interior, True),),
+                            "or": ((_outside_rr_eta_interior, True),
+                                   (_rr_eta_level0_attainable, False))}),
 }
 
 
@@ -391,7 +388,9 @@ def check_compatibility_batch(system: str, points, target: str) -> np.ndarray:
     That is `CompatibilityQuery`'s point rule too: 3 finite reals per point, else
     `DomainError`.  Kernels read the column-major copy; any layout gives the same verdicts.
     """
-    return check_supported(system, target).batch(check_points(points), target)
+    record = check_supported(system, target)
+    return _decide(record.decide_first[target], partial(record.kernel, target=target),
+                   check_points(points).T)
 
 
 def check_compatibility(q: CompatibilityQuery) -> bool:

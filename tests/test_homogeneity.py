@@ -130,6 +130,21 @@ class TestCompatibilityValidation:
             "target 'rd' not supported for system 'rr_op'; supported: ('rr', 'or')"
         )
 
+    @pytest.mark.parametrize("target", [["rr"], {"rr": "or"}, None], ids=["list", "dict", "none"])
+    @pytest.mark.parametrize("check", [
+        lambda target: CompatibilityQuery("rr_op", (0.0, 0.0, 0.0), target),
+        lambda target: check_compatibility_batch("rr_op", np.zeros((1, 3)), target),
+        lambda target: estimate(PriorSpec("rr_op", n_samples=1, seed=0), target),
+        lambda target: volume.exact_probability(PriorSpec("rr_op", n_samples=1, seed=0), target),
+    ], ids=["query", "batch", "estimate", "exact_probability"])
+    def test_a_target_that_is_not_a_string_is_unsupported(self, check, target):
+        # not a TypeError from hashing an unhashable target
+        with pytest.raises(UnsupportedTargetError) as exc:
+            check(target)
+        assert str(exc.value) == (
+            f"target {target!r} not supported for system 'rr_op'; supported: ('rr', 'or')"
+        )
+
     @pytest.mark.parametrize("points", [
         [["0.5", 0.5, 0.5]], [[None, 0.5, 0.5]], [[0.5j, 0.5, 0.5]],
     ], ids=["string", "none", "complex"])
@@ -234,6 +249,13 @@ class TestRrOpCompatibility:
         assert math.log(rr1) == pytest.approx(math.log(rr0), abs=1e-9)
         assert check_compatibility(CompatibilityQuery("rr_op", (alpha0, gamma0, gamma1), "rr"))
 
+    def test_an_overflowing_odds_product_is_decided_without_a_warning(self):
+        # gamma0 + gamma1 overflows to inf outside the interior, and the kernel
+        # decides these points; any warning fails the test
+        points = np.array([[0.0, 1e308, 1e308], [0.0, -1e308, -1e308], [1.0, 1.0, 1.7e308]])
+        for target in ("rr", "or"):
+            assert check_compatibility_batch("rr_op", points, target).tolist() == [False] * 3
+
     def test_or_witness_construction(self, rng):
         from effectgeom import StratumPair, odds_product, solve_stratum_from_rr_op
 
@@ -258,14 +280,9 @@ class TestRrOpCompatibility:
 # its limit by _RR_ETA_LOG_OR_MARGIN.
 _INTERIOR_MARGIN = {"prob": 1.0e-9, "rr_op": 1.1e-7, "rr_eta": 1.3e-7}
 _RR_ETA_LOG_OR_MARGIN = 3.3e-4
-# the full kernel of each gated (system, target), run on every point
-_KERNELS = {
-    ("prob", "or"): homogeneity._prob_kernel,
-    ("rr_op", "rr"): homogeneity._rr_op_kernel,
-    ("rr_op", "or"): homogeneity._rr_op_kernel,
-    ("rr_eta", "rr"): homogeneity._rr_eta_kernel,
-    ("rr_eta", "or"): lambda alpha0, e0, e1, target: homogeneity._rr_eta_or_solve(alpha0, e0, e1),
-}
+# every (system, target) whose table entry decides points before the kernel
+_GATED = [(s, t) for s, record in COMPAT_SYSTEMS.items() for t, tests in record.decide_first.items()
+          if tests]
 # boxes that reach the guard, an rr_op and an rr_eta box wholly past it, and
 # the four volume_rr_eta workload boxes
 _GUARD_BOXES = {
@@ -279,7 +296,20 @@ _GUARD_BOXES = {
 
 
 def _kernel(system, target, points):
-    return _KERNELS[system, target](*np.asfortranarray(points).T, target)
+    """The system's full kernel, run on every point."""
+    return COMPAT_SYSTEMS[system].kernel(*np.asfortranarray(points).T, target)
+
+
+def _decided_by(system, target, verdict):
+    """The tests of the (system, target) table entry that decide ``verdict``."""
+    return [test for test, v in COMPAT_SYSTEMS[system].decide_first[target] if v is verdict]
+
+
+def _interior_test(system):
+    """The system's one interior test: the True test of each of its gated targets."""
+    (test,) = {test for target in COMPAT_SYSTEMS[system].targets
+               for test in _decided_by(system, target, True)}
+    return test
 
 
 def _witness_risks(system, target, points):
@@ -300,12 +330,8 @@ def _witness_risks(system, target, points):
     return np.column_stack([p0, p1, expit((s + log_or0) / 2.0), expit((s - log_or0) / 2.0)])
 
 
-_INTERIOR = {"prob": homogeneity._prob_interior, "rr_op": homogeneity._rr_op_interior,
-             "rr_eta": homogeneity._rr_eta_interior}
-
-
 def _in_interior(system, points):
-    return _INTERIOR[system](np.asfortranarray(points))
+    return ~_interior_test(system)(*np.asfortranarray(points).T)
 
 
 def _interior_grid(system):
@@ -360,7 +386,7 @@ def _outside_points(system, n, rng):
 class TestInteriorRule:
     """The interior tests decide only points the full kernel calls compatible."""
 
-    @pytest.mark.parametrize("system, target", list(_KERNELS))
+    @pytest.mark.parametrize("system, target", _GATED)
     def test_kernel_is_true_with_margin_on_the_interior_grid(self, system, target):
         _kernel_is_true_with_margin(system, target, _interior_grid(system))
 
@@ -382,7 +408,7 @@ class TestInteriorRule:
         _kernel_is_true_with_margin("rr_eta", target, np.array([[alpha0, e0, e1]]))
 
     @pytest.mark.parametrize("n", [1, volume.BLOCK_ROWS - 1, volume.BLOCK_ROWS, volume.BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("system, target", list(_KERNELS))
+    @pytest.mark.parametrize("system, target", _GATED)
     def test_batch_equals_kernel_on_guard_reaching_boxes(self, system, target, n):
         for i, box in enumerate(_GUARD_BOXES[system]):
             lows, highs = np.array(box).T
@@ -391,7 +417,7 @@ class TestInteriorRule:
             for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
                 assert np.array_equal(check_compatibility_batch(system, layout, target), expected), box
 
-    @pytest.mark.parametrize("system, target", list(_KERNELS))
+    @pytest.mark.parametrize("system, target", _GATED)
     def test_batch_equals_kernel_at_every_share_outside(self, system, target):
         rng = np.random.default_rng(24)
         n = 256
@@ -407,6 +433,20 @@ class TestInteriorRule:
             for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
                 assert np.array_equal(check_compatibility_batch(system, layout, target), expected), k
 
+    def test_every_table_test_is_checked_here(self):
+        # a True test must be its system's interior, whose margins the tests
+        # above check; the one False test, the rr_eta/or floor test, is checked
+        # by the equality test below
+        for system, record in COMPAT_SYSTEMS.items():
+            for target, tests in record.decide_first.items():
+                for test, verdict in tests:
+                    if verdict:
+                        assert system in _INTERIOR_MARGIN, (system, target)
+                        assert test is _interior_test(system), (system, target)
+                    else:
+                        assert (system, target) == ("rr_eta", "or"), (system, target)
+        assert len(_decided_by("rr_eta", "or", False)) == 1
+
     def test_rr_eta_or_floor_test_equals_the_solve_at_every_share_below_the_floor(self):
         # alpha0 >= 0 throughout, so only the floor test decides; log levels
         # a few ulps either side of the floor's, and far from it
@@ -417,20 +457,36 @@ class TestInteriorRule:
         e0 = np.log(coords._eta_floor(alpha0)) + rng.integers(-4, 5, n) * np.spacing(np.log(1.5))
         e0[::3] += rng.uniform(-2.0, 2.0, len(e0[::3]))
         pool = np.column_stack([alpha0, e0, rng.uniform(-1.0, 1.0, n)])
-        below = coords.eta_attainable_vec(alpha0, np.exp(e0))
-        np.logical_not(below, out=below)
+        (floor_test,) = _decided_by("rr_eta", "or", False)
+        below = ~floor_test(*pool.T)
         below, above = pool[below], pool[~below]
         n = 256
         assert len(below) >= n and len(above) >= n
         edge = int((1.0 - DECIDED_SHARE) * n)  # the most undecided points that are gathered
         for k in (0, 1, n - edge - 1, n - edge, n - edge + 1, n):
             points = np.asfortranarray(np.vstack([below[:k], above[:n - k]])[rng.permutation(n)])
-            expected = homogeneity._rr_eta_or_solve(*points.T)
+            expected = _kernel("rr_eta", "or", points)
             for layout in (np.ascontiguousarray(points), np.asfortranarray(points)):
                 assert np.array_equal(check_compatibility_batch("rr_eta", layout, "or"), expected), k
 
 
 class TestRrEtaCompatibility:
+    def test_the_or_predicate_calls_the_traced_coords_routines(self, monkeypatch):
+        # perfbench/tracing.py times these two by replacing the homogeneity
+        # attributes, so the predicate must look both up when it runs
+        calls = {"eta_attainable_vec": 0, "eta_min_log_odds_ratio_vec": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(homogeneity, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(homogeneity, name, counted)
+        lows, highs = np.array(DEFAULT_BOUNDS["rr_eta"]).T
+        points = lows + np.random.default_rng(26).random((volume.BLOCK_ROWS, 3)) * (highs - lows)
+        verdicts = check_compatibility_batch("rr_eta", points, "or")
+        assert calls["eta_attainable_vec"] >= 1 and calls["eta_min_log_odds_ratio_vec"] >= 1
+        monkeypatch.undo()
+        assert np.array_equal(verdicts, check_compatibility_batch("rr_eta", points, "or"))
+
     def test_solvable_negative_theta_always_rr_compatible(self, rng):
         for _ in range(300):
             point = (rng.uniform(-2, -0.01), rng.uniform(-1, 1), rng.uniform(-1, 1))
