@@ -3,126 +3,25 @@
 Risk-table parameterizations, homogeneity-feasibility checks, Monte Carlo
 compatibility probabilities under coordinate box priors, and a power
 simulator for Wald interaction tests.
+
+Each module declares its public names in its own ``__all__``; the package
+re-exports exactly those.
 """
 
-from .coords import (
-    SYSTEMS,
-    LogisticCoords,
-    PoissonCoords,
-    RrEtaCoords,
-    RrOpCoords,
-    eta_attainable,
-    eta_infimum,
-    from_logistic,
-    from_poisson,
-    from_rr_eta,
-    from_rr_op,
-    solve_stratum_from_rr_eta,
-    solve_stratum_from_rr_op,
-    to_logistic,
-    to_poisson,
-    to_rr_eta,
-    to_rr_op,
-)
-from .errors import (
-    DegenerateCountsError,
-    DomainError,
-    EffectGeomError,
-    OutOfDomainError,
-    UnsupportedSystemError,
-    UnsupportedTargetError,
-)
-from .homogeneity import (
-    CompatibilityQuery,
-    HomogeneityQuery,
-    check_compatibility,
-    complete_table,
-    is_feasible,
-)
-from .power import (
-    SCALES,
-    CellCounts,
-    PowerResult,
-    ScalePower,
-    StudyDesign,
-    simulate_dataset,
-    simulate_power,
-    wald_interaction,
-    wald_interaction_pvalue,
-)
-from .table import (
-    DEFAULT_EPS,
-    MEASURES,
-    RiskTable,
-    StratumPair,
-    eta,
-    measure_range,
-    odds_product,
-    odds_ratio,
-    relative_risk,
-    risk_difference,
-)
-from .volume import (
-    DEFAULT_BOUNDS,
-    PriorSpec,
-    VolumeEstimate,
-    estimate,
-    exact_probability,
-)
+from .coords import *
+from .errors import *
+from .homogeneity import *
+from .power import *
+from .table import *
+from .volume import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CellCounts",
-    "CompatibilityQuery",
-    "DEFAULT_BOUNDS",
-    "DEFAULT_EPS",
-    "DegenerateCountsError",
-    "DomainError",
-    "EffectGeomError",
-    "HomogeneityQuery",
-    "LogisticCoords",
-    "MEASURES",
-    "OutOfDomainError",
-    "PoissonCoords",
-    "PowerResult",
-    "PriorSpec",
-    "RiskTable",
-    "RrEtaCoords",
-    "RrOpCoords",
-    "SCALES",
-    "SYSTEMS",
-    "ScalePower",
-    "StratumPair",
-    "StudyDesign",
-    "UnsupportedSystemError",
-    "UnsupportedTargetError",
-    "VolumeEstimate",
-    "check_compatibility",
-    "complete_table",
-    "estimate",
-    "eta",
-    "eta_attainable",
-    "eta_infimum",
-    "exact_probability",
-    "from_logistic",
-    "from_poisson",
-    "from_rr_eta",
-    "from_rr_op",
-    "is_feasible",
-    "measure_range",
-    "odds_product",
-    "odds_ratio",
-    "relative_risk",
-    "risk_difference",
-    "simulate_dataset",
-    "simulate_power",
-    "solve_stratum_from_rr_eta",
-    "solve_stratum_from_rr_op",
-    "to_logistic",
-    "to_poisson",
-    "to_rr_eta",
-    "to_rr_op",
-    "wald_interaction",
-    "wald_interaction_pvalue",
-]
+# each `from .<module> import *` above also bound the submodule itself here
+__all__: list[str] = []
+__all__ += coords.__all__
+__all__ += errors.__all__
+__all__ += homogeneity.__all__
+__all__ += power.__all__
+__all__ += table.__all__
+__all__ += volume.__all__

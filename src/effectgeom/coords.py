@@ -58,6 +58,26 @@ from .table import (
     relative_risk,
 )
 
+__all__ = [
+    "SYSTEMS",
+    "LogisticCoords",
+    "PoissonCoords",
+    "RrEtaCoords",
+    "RrOpCoords",
+    "eta_attainable",
+    "eta_infimum",
+    "from_logistic",
+    "from_poisson",
+    "from_rr_eta",
+    "from_rr_op",
+    "solve_stratum_from_rr_eta",
+    "solve_stratum_from_rr_op",
+    "to_logistic",
+    "to_poisson",
+    "to_rr_eta",
+    "to_rr_op",
+]
+
 LOG_1P5 = math.log(1.5)
 
 

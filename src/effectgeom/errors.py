@@ -8,6 +8,16 @@ every other ``EffectGeomError``.
 
 from __future__ import annotations
 
+# `ConfigError` is the command line's and is not re-exported by the package
+__all__ = [
+    "DegenerateCountsError",
+    "DomainError",
+    "EffectGeomError",
+    "OutOfDomainError",
+    "UnsupportedSystemError",
+    "UnsupportedTargetError",
+]
+
 
 class EffectGeomError(Exception):
     """Base error for this package."""

@@ -121,6 +121,14 @@ from .coords import (
 from .errors import DomainError, UnsupportedSystemError, UnsupportedTargetError
 from .table import MEASURES, _check_prob, check_finite, expit, in_guard, logit
 
+__all__ = [
+    "CompatibilityQuery",
+    "HomogeneityQuery",
+    "check_compatibility",
+    "complete_table",
+    "is_feasible",
+]
+
 #: The ``prob``/``or`` interior: every coordinate in [INTERIOR_DELTA, 1 - INTERIOR_DELTA].
 INTERIOR_DELTA = 1e-3
 

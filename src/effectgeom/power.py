@@ -41,6 +41,18 @@ from . import mc
 from .errors import DegenerateCountsError, DomainError
 from .table import RiskTable, check_finite, logit
 
+__all__ = [
+    "SCALES",
+    "CellCounts",
+    "PowerResult",
+    "ScalePower",
+    "StudyDesign",
+    "simulate_dataset",
+    "simulate_power",
+    "wald_interaction",
+    "wald_interaction_pvalue",
+]
+
 #: Test scales, in reporting order.
 SCALES = ("identity", "log", "logit")
 

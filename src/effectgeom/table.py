@@ -32,6 +32,19 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = [
+    "DEFAULT_EPS",
+    "MEASURES",
+    "RiskTable",
+    "StratumPair",
+    "eta",
+    "measure_range",
+    "odds_product",
+    "odds_ratio",
+    "relative_risk",
+    "risk_difference",
+]
+
 #: Inclusive guard: probabilities are accepted in [DEFAULT_EPS, 1 - DEFAULT_EPS].
 DEFAULT_EPS = 1e-12
 

@@ -38,6 +38,8 @@ from .errors import DomainError
 from .homogeneity import COMPAT_SYSTEMS, check_compatibility_batch, check_supported, check_system
 from .table import check_finite
 
+__all__ = ["DEFAULT_BOUNDS", "PriorSpec", "VolumeEstimate", "estimate", "exact_probability"]
+
 #: Default coordinate boxes, from `homogeneity.COMPAT_SYSTEMS`.
 DEFAULT_BOUNDS = {name: system.bounds for name, system in COMPAT_SYSTEMS.items()}
 
