@@ -14,18 +14,21 @@ logit tests; the identity test uses raw proportions and a replicate whose
 identity variance degenerates to 0 is counted separately, never folded into
 either tally.
 
-Each statistic combines per-cell terms, and a cell's count is an integer in
-[0, n].  So each query builds, per cell, the alias table (Walker 1977, built
-by the sweep of Hübschle-Schneider & Sanders 2019 with numpy's in-order sums
-and searches) and the terms of each count the alias table can yield, and a
-chunk maps each uniform straight to its column of terms, then builds one
-scale's statistic at a time from 1-D gathers of those columns.  A cell with
-n + 1 above `ALIAS_COUNTS` is drawn by `rng.binomial` instead, and a chunk
-evaluates the terms once per distinct count it drew, or per replicate where
-they span too wide a range.  Replicates are distributed over fixed-size chunks
-with counter-based seeding (:mod:`effectgeom.mc`), so results are
-reproducible for any worker count.  `simulate_dataset` is the same draw at
-one replicate.
+Each statistic is (A1 - A0) / sqrt(V0 + V1), where stratum v's terms A_v
+and V_v combine its two cells' terms and a count is an integer in [0, n].  So
+each query builds, per cell, the alias table (Walker 1977, built by the sweep
+of Hübschle-Schneider & Sanders 2019 with numpy's in-order sums and searches)
+and the terms of each count it can yield, and per stratum A_v and V_v at each
+pair of counts.  A chunk maps each uniform straight to its column, joins each
+stratum's columns into one index of count pairs, and builds one scale's
+statistic at a time from 1-D gathers of the stratum tables.  A stratum with
+more count pairs than a block has rows gathers its cells' terms instead, in
+the same float order, as does a cell of n + 1 above `ALIAS_COUNTS`, drawn by
+`rng.binomial`, whose terms a chunk evaluates once per distinct count it drew,
+or per replicate where they span too wide a range.  Replicates are distributed
+over fixed-size chunks with counter-based seeding (:mod:`effectgeom.mc`), so
+results are reproducible for any worker count.  `simulate_dataset` is the
+same draw at one replicate.
 """
 
 from __future__ import annotations
@@ -159,32 +162,35 @@ def _cell_terms(events: np.ndarray, totals) -> np.ndarray:
     ])
 
 
-def _combine(row: Callable[[int, int], np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _combine(stratum: Callable[[int, int], np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Plug-in interaction estimate and variance on each scale, in `SCALES` order.
 
-    ``row(cell, k)`` is a fresh 1-D array of term k of `_cell_terms` for cell
-    0-3 (00, 01, 10, 11).  Each scale is built in place from its rows before
-    the next scale's are read.  A variance of 0 marks a degenerate replicate.
+    ``stratum(v, k)`` is a fresh 1-D array of A_v = t_v1 - t_v0 for even k and
+    V_v = v_v0 + v_v1 for odd k, from cell terms t, v of `_cell_terms`.  Each
+    scale is built in place before the next scale's terms are read.  A
+    variance of 0 marks a degenerate replicate.
     """
     for k in (0, 2, 4):
-        est = row(3, k)
-        est -= row(2, k)
-        if k:
-            est -= row(1, k)
-            est += row(0, k)
-        else:  # identity: (t11 - t10) - (t01 - t00)
-            est -= np.subtract(row(1, k), row(0, k))
-        var = row(0, k + 1)
-        for cell in (1, 2, 3):
-            var += row(cell, k + 1)
+        est = stratum(1, k)
+        est -= stratum(0, k)
+        var = stratum(0, k + 1)
+        var += stratum(1, k + 1)
         yield est, var
-        del est, var  # so the next scale's rows can reuse their memory once the caller's are gone
+        del est, var  # so the next scale's terms can reuse their memory once the caller's are gone
+
+
+def _by_cell(row: Callable[[int, int], np.ndarray]) -> Callable[[int, int], np.ndarray]:
+    """The `_combine` accessor from fresh per-cell rows ``row(cell, k)``, cells in (v, a) order."""
+    def stratum(v, k):
+        out = row(2 * v + 1, k)
+        return (np.add if k % 2 else np.subtract)(out, row(2 * v, k), out=out)
+    return stratum
 
 
 def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
     """Plug-in interaction estimate and its delta-method standard error.
 
-    `_cell_terms` and `_combine` at one replicate.
+    `_cell_terms` and `_combine` at one replicate, through `_by_cell`.
 
     Raises:
         DomainError: for a scale outside `SCALES`.
@@ -194,7 +200,7 @@ def wald_interaction(counts: CellCounts, scale: str) -> tuple[float, float]:
     if scale not in SCALES:
         raise DomainError(f"scale must be one of {SCALES}, got {scale!r}")
     terms = _cell_terms(np.array(counts.events()), np.array(counts.totals(), dtype=float))
-    scales = list(_combine(lambda cell, k: terms[k, [cell]]))  # one replicate
+    scales = list(_combine(_by_cell(lambda cell, k: terms[k, [cell]])))  # one replicate
     est, var = (x.item() for x in scales[SCALES.index(scale)])
     if not var > 0.0:
         raise DegenerateCountsError(
@@ -274,6 +280,25 @@ def _cells(truth: RiskTable, design: StudyDesign) -> tuple[tuple[int, float, tup
     return tuple((n, p, _draw_tables(n, p)) for n, p in zip(design.as_tuple(), probs))
 
 
+def _strata(cells) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Each stratum's `_combine` terms by count pair, or None; ``cells`` is `_cells`.
+
+    Column e_v0 (n_v1 + 1) + e_v1 of stratum v's table holds the outer
+    difference and sum of its cells' `_cell_terms` over [0, n].  Only a
+    stratum of two alias cells with at most `BLOCK_ROWS` count pairs has one.
+    """
+    out = []
+    for (n0, _, t0), (n1, _, t1) in (cells[:2], cells[2:]):
+        if t0 is None or t1 is None or (n0 + 1) * (n1 + 1) > BLOCK_ROWS:
+            out.append(None)
+            continue
+        a, b = (_cell_terms(np.arange(n + 1), float(n)) for n in (n0, n1))
+        table = np.subtract(b[:, None, :], a[:, :, None])  # A_v in rows 0, 2 and 4
+        np.add(a[1::2, :, None], b[1::2, None, :], out=table[1::2])  # V_v in rows 1, 3 and 5
+        out.append(table.reshape(6, -1))
+    return tuple(out)
+
+
 def _alias_columns(accept: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The terms-table column of the count each uniform in ``u`` draws; overwrites ``u``.
 
@@ -301,7 +326,7 @@ def _draw(rng: np.random.Generator, n: int, p: float, tables, size: int) -> np.n
 
 
 def _chunk_tallies(
-    cells: tuple[tuple[int, float, tuple | None], ...],
+    query: tuple[tuple, tuple],
     z_crit: float,
     seed: int,
     index: int,
@@ -309,24 +334,29 @@ def _chunk_tallies(
 ) -> np.ndarray:
     """Per-chunk [rejected, degenerate] pairs for each scale, as a flat array.
 
-    ``cells`` is `_cells`.  Each cell is drawn whole by `_draw`, in cell
-    order 00, 01, 10, 11, since drawing it in blocks would change the
-    stream.  A block feeds `_combine` 1-D row gathers of each cell's terms
-    table and tallies each scale before the next is built; a chunk with a cell
-    whose terms it evaluates per replicate runs in `EVAL_ROWS`-row blocks.
+    ``query`` is `_cells` and their `_strata`.  Each cell is drawn whole by
+    `_draw`, in cell order 00, 01, 10, 11, since drawing it in blocks would
+    change the stream; an intp index into a stratum's table replaces its cells'
+    columns.  A block feeds `_combine` 1-D gathers of the tables, or `_by_cell`,
+    and tallies each scale before the next is built; a chunk with a cell whose
+    terms it evaluates per replicate runs in `EVAL_ROWS`-row blocks.
     """
+    cells, strata = query
     rng = mc.chunk_rng(seed, index)
     draws, tables = [], []  # per cell: a column or count per replicate, and its terms table or None
-    for n, p, cell_tables in cells:
-        c = _draw(rng, n, p, cell_tables, size)
-        draws.append(c)
+    for cell, (n, p, cell_tables) in enumerate(cells):
+        draws.append(_draw(rng, n, p, cell_tables, size))
         if cell_tables is not None:
             tables.append(cell_tables[2])
+            if cell % 2 and strata[cell // 2] is not None:  # e_v0 (n_v1 + 1) + e_v1
+                pair = cells[cell - 1][2][1].take(draws[-2]) * (n + 1)
+                pair += cell_tables[1].take(draws[-1])
+                draws[-2:] = pair, pair  # frees the two int32 columns
             continue
-        lo, hi = int(c.min()), int(c.max())
+        lo, hi = int(draws[-1].min()), int(draws[-1].max())
         if hi - lo < EVAL_ROWS:  # the int64 counts lo..hi; np.arange(lo, hi + 1) is float at 2**63
             tables.append(_cell_terms(lo + np.arange(hi - lo + 1), float(n)))
-            c -= lo
+            draws[-1] -= lo
         else:  # a table of the range would outgrow a block's terms, such as at n = 2**62
             tables.append(None)
     rows = EVAL_ROWS if any(t is None for t in tables) else BLOCK_ROWS
@@ -334,6 +364,11 @@ def _chunk_tallies(
     def row(cell, k):  # term k of the cell over the current block
         t = tables[cell]
         return evaluated[cell][k].copy() if t is None else t[k].take(block[cell])
+
+    by_cell = _by_cell(row)
+
+    def stratum(v, k):  # term k of the stratum over the current block
+        return by_cell(v, k) if strata[v] is None else strata[v][k].take(block[2 * v])
 
     out = np.zeros(6, dtype=np.int64)  # (rej, degen) x (identity, log, logit)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -343,12 +378,12 @@ def _chunk_tallies(
             evaluated = [_cell_terms(b, float(n)) if t is None else None
                          for t, b, (n, _, _) in zip(tables, block, cells)]
             tallies = []
-            for est, var in _combine(row):
+            for est, var in _combine(stratum):
                 valid = var > 0.0
                 est /= np.sqrt(var, out=var)
                 tallies += [np.count_nonzero(valid & (np.abs(est, out=est) > z_crit)),
                             valid.size - np.count_nonzero(valid)]
-                del est, var  # so the next scale's rows can reuse their memory
+                del est, var  # so the next scale's terms can reuse their memory
             out += tallies
     return out
 
@@ -375,7 +410,8 @@ def simulate_power(
     reps = mc.check_int("reps", reps, 1, mc.MAX_COUNT)
     seed = mc.check_seed(seed)
     z_crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    totals = mc.run_chunked(_chunk_tallies, (_cells(truth, design), z_crit, seed), reps, workers)
+    cells = _cells(truth, design)
+    totals = mc.run_chunked(_chunk_tallies, ((cells, _strata(cells)), z_crit, seed), reps, workers)
     by_scale: dict[str, ScalePower] = {}
     for i, scale in enumerate(SCALES):
         rejected = int(totals[2 * i])

@@ -245,9 +245,28 @@ def _frozen_wald(events, totals):
     return [identity, log, (lo[3] - lo[2] - lo[1] + lo[0], var)]
 
 
+def _frozen_stratum_wald(events, totals):
+    """The Wald kernel in the per-stratum float order, float op for float op.
+
+    Each cell's terms are `_frozen_wald`'s; each scale's estimate is
+    (t11 - t10) - (t01 - t00) and its variance (v00 + v01) + (v10 + v11).
+    """
+    raw = events / totals
+    boundary = (events == 0) | (events == totals)
+    adj = np.where(boundary, (events + 0.5) / (totals + 1.0), raw)
+    adj_tot = np.where(boundary, totals + 1.0, totals)
+    terms = [
+        (raw, raw * (1.0 - raw) / totals),
+        (np.log(adj), (1.0 - adj) / (adj_tot * adj)),
+        (logit(adj), 1.0 / (adj_tot * adj * (1.0 - adj))),
+    ]
+    return [((t[3] - t[2]) - (t[1] - t[0]), (v[0] + v[1]) + (v[2] + v[3])) for t, v in terms]
+
+
 def _cells(truth, design):
-    """`power._cells` of a truth and a design given as 4-tuples."""
-    return power._cells(RiskTable(*truth), StudyDesign(*design))
+    """`power._cells` and their `power._strata`, of a truth and a design given as 4-tuples."""
+    cells = power._cells(RiskTable(*truth), StudyDesign(*design))
+    return cells, power._strata(cells)
 
 
 def _frozen_draw(rng, n, p, size):
@@ -266,6 +285,16 @@ def _frozen_draw(rng, n, p, size):
         k = int(x)
         counts.append(k if x - k < accept[k] else alias[k])
     return np.array(counts)
+
+
+def _frozen_counts(rng, n, p, size):
+    """`_frozen_draw` with numpy's elementwise float ops in place of its loop."""
+    if n + 1 > power.ALIAS_COUNTS:
+        return rng.binomial(n, p, size=size)
+    accept, alias = power._alias_table(n, p)
+    x = rng.random(size) * (n + 1)
+    k = x.astype(np.intp)
+    return np.where(x - k < accept[k], k, alias[k])
 
 
 _E = 1e-12
@@ -330,6 +359,12 @@ class TestAliasDraw:
                 u = np.array([0.0, np.nextafter(1.0, 0.0)])
                 got = power._alias_columns(np.full(size, float(coin)), u)
                 assert got.tolist() == [coin, 2 * (size - 1) + coin], (size, coin)
+
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (10, 0.35), (1000, 1 - _E),
+                                      (power.ALIAS_COUNTS, 0.2)])
+    def test_vectorised_frozen_draw_is_the_per_replicate_one(self, n, p):
+        got = _frozen_counts(mc.chunk_rng(5, 1), n, p, 4096)
+        assert got.tolist() == _frozen_draw(mc.chunk_rng(5, 1), n, p, 4096).tolist()
 
     def test_tables_stop_at_the_cap(self):
         assert power._draw_tables(power.ALIAS_COUNTS - 1, 0.35) is not None
@@ -413,14 +448,106 @@ class TestChunkBlocking:
                     return direct[cell][k].copy()
                 return tables[cell][k].take(events[cell] - events[cell].min())
 
+            by_cell = power._by_cell(lambda cell, k: direct[cell][k].copy())
+            _, strata = _cells(truth, design)
+
+            def tabulated(v, k):  # 1-D gathers of a stratum's table by count pair, if it has one
+                if strata[v] is None:
+                    return by_cell(v, k)
+                pair = events[2 * v] * (design[2 * v + 1] + 1) + events[2 * v + 1]
+                return strata[v][k].take(pair)
+
             with np.errstate(divide="ignore", invalid="ignore"):
-                want = _frozen_wald(events, np.array(design, dtype=float)[:, None])
-            for row in (gathered, lambda cell, k: direct[cell][k].copy()):
-                got = list(power._combine(row))
+                want = _frozen_stratum_wald(events, np.array(design, dtype=float)[:, None])
+            for stratum in (tabulated, power._by_cell(gathered), by_cell):
+                got = list(power._combine(stratum))
                 assert len(got) == len(SCALES)
                 for (est, var), (want_est, want_var) in zip(got, want):
                     assert est.tobytes() == want_est.tobytes(), truth
                     assert var.tobytes() == want_var.tobytes(), truth
+
+
+# Strata of `BLOCK_ROWS` - 1, `BLOCK_ROWS` and `BLOCK_ROWS` + 1 count pairs:
+# tabulated, tabulated at the cap, and built from per-cell rows past it
+_CAP_DESIGNS = [(216, 150, 150, 216), (127, 255, 255, 127), (98, 330, 330, 98)]
+
+
+class TestStratumTables:
+    """Each stratum's Wald terms by count pair, and the tallies they give."""
+
+    @pytest.mark.parametrize("design", [(10, 10, 10, 10), (3, 5, 4, 6), (1, 7, 1, 2),
+                                        (40, 160, 25, 400), _CAP_DESIGNS[1]])
+    def test_tables_are_the_outer_difference_and_sum_of_the_cell_terms(self, design):
+        _, strata = _cells(_TRUTHS[1], design)
+        for v, table in enumerate(strata):
+            n0, n1 = design[2 * v : 2 * v + 2]
+            t0 = power._cell_terms(np.arange(n0 + 1), float(n0))
+            t1 = power._cell_terms(np.arange(n1 + 1), float(n1))
+            assert table.shape == (6, (n0 + 1) * (n1 + 1))
+            for e0 in range(n0 + 1):  # the columns of stratum count pairs (e0, 0..n1)
+                got = table[:, e0 * (n1 + 1) : (e0 + 1) * (n1 + 1)]
+                for k in range(6):
+                    want = t0[k, e0] + t1[k] if k % 2 else t1[k] - t0[k, e0]
+                    assert got[k].tobytes() == want.tobytes(), (v, e0, k)
+
+    def test_only_alias_strata_within_a_block_are_tabulated(self):
+        pairs = [(n0 + 1) * (n1 + 1) for n0, n1, _, _ in _CAP_DESIGNS]
+        assert pairs == [B - 1, B, B + 1]
+        for design, tabulated in zip(_CAP_DESIGNS, (True, True, False)):
+            assert [t is not None for t in _cells(_TRUTHS[1], design)[1]] == [tabulated] * 2
+        # a cell drawn by `rng.binomial` has no alias columns to index a table by
+        assert _cells(_TRUTHS[1], (power.ALIAS_COUNTS, 1, 1, 1))[1][0] is None
+        assert _cells(_TRUTHS[1], (2**62, 10, 1, 2**62))[1] == (None, None)
+
+    @pytest.mark.parametrize("design", _CAP_DESIGNS)
+    def test_tables_and_cell_rows_give_identical_tallies_either_side_of_the_cap(
+        self, design, monkeypatch
+    ):
+        cells, strata = _cells(_TRUTHS[1], design)
+        with monkeypatch.context() as m:
+            m.setattr(power, "BLOCK_ROWS", 2 * B)  # tabulates the stratum past the cap too
+            tabulated = power._strata(cells)
+        assert all(t is not None for t in tabulated)
+        for seed in range(4):
+            got = [power._chunk_tallies((cells, s), 1.959964, seed, 0, mc.CHUNK_SIZE).tolist()
+                   for s in (strata, tabulated, (None, None))]
+            assert got[0] == got[1] == got[2], seed
+
+
+# The benchmark's four designs, then one whose strata each hold exactly
+# `BLOCK_ROWS` count pairs
+_BENCH_DESIGNS = [(10, 10, 10, 10), (100, 100, 100, 100), (1000, 1000, 1000, 1000),
+                  (40, 160, 25, 400), _CAP_DESIGNS[1]]
+
+
+@pytest.mark.parametrize("design", _BENCH_DESIGNS)
+def test_whole_chunk_tallies_equal_the_frozen_kernel(design):
+    # The stratum float order may move a tally only where |z| lies within
+    # rounding of the critical value: each replicate the two orders decide
+    # differently must sit within 4 ulps of it.
+    z_crit = NormalDist().inv_cdf(1.0 - 0.05 / 2.0)
+    totals = np.array(design, dtype=float)[:, None]
+    for seed in range(50):
+        truth = _TRUTHS[seed % len(_TRUTHS)]
+        rng = mc.chunk_rng(seed, 0)
+        events = np.stack([_frozen_counts(rng, n, p, mc.CHUNK_SIZE)
+                           for n, p in zip(design, truth)])
+        want, frozen, moved = [], [], 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (est, var), (s_est, s_var) in zip(_frozen_wald(events, totals),
+                                                  _frozen_stratum_wald(events, totals)):
+                z, s_z = np.abs(est / np.sqrt(var)), np.abs(s_est / np.sqrt(s_var))
+                rejected, s_rejected = (var > 0.0) & (z > z_crit), (s_var > 0.0) & (s_z > z_crit)
+                assert ((var > 0.0) == (s_var > 0.0)).all()
+                flipped = rejected != s_rejected
+                near = np.abs(z[flipped] - z_crit) <= 4 * math.ulp(z_crit)
+                assert near.all(), (seed, z[flipped])
+                moved += int(flipped.sum())
+                want += [int(rejected.sum()), int((var <= 0.0).sum())]
+                frozen += [int(s_rejected.sum()), int((s_var <= 0.0).sum())]
+        got = power._chunk_tallies(_cells(truth, design), z_crit, seed, 0, mc.CHUNK_SIZE).tolist()
+        assert got == frozen, (seed, truth)
+        assert sum(abs(g - w) for g, w in zip(got, want)) <= moved, (seed, truth, got, want)
 
 
 def test_threads_share_no_chunk_state(monkeypatch):
@@ -447,19 +574,22 @@ def test_threads_share_no_chunk_state(monkeypatch):
 # multiple of 32 KiB (one 4096-row float64 array, the unit the pins were set
 # in), so that it does not move with `power.BLOCK_ROWS`; beside each is the
 # peak measured at 32768-row blocks.  The benchmark designs peak while their
-# cells are drawn: three cells' int32 columns (768 KiB) beside the last cell's
-# uniforms, columns and gather.  A block then holds the four columns (1 MiB)
-# and about four 256 KiB arrays.  Four binomial cells' counts hold 2 MiB.  A 2**62 cell's
+# cells are drawn, at the same bytes with or without stratum tables: stratum
+# 0's intp index into its table (512 KiB), or its two int32 columns, and cell
+# 10's column beside cell 11's uniforms, columns and gather.  Joining stratum
+# 1's columns into its index peaks no higher, and a block then holds the two
+# indices, or the four columns (1 MiB), and about four 256 KiB arrays.  Four
+# binomial cells' counts hold 2 MiB.  A 2**62 cell's
 # drawn range is tabulated only while it is narrower than `EVAL_ROWS`, so at
 # the guard-edge risks, where it spans about 2 * 10**4 counts, its chunk runs
 # in `EVAL_ROWS`-row blocks that evaluate the terms of their counts.
 _CHUNK_PEAKS = [
-    ((10, 10, 10, 10), _TRUTHS[1], 97.5),  # measured 2623264 bytes
-    ((100, 100, 100, 100), _TRUTHS[1], 97.75),  # 2623264
-    ((1000, 1000, 1000, 1000), _TRUTHS[1], 98.25),  # 2623264
-    ((40, 160, 25, 400), _TRUTHS[1], 97.75),  # 2623264
-    ((2**62,) * 4, _TRUTHS[1], 98.5),  # 3160208
-    ((2**62,) * 4, _TRUTHS[2], 98.5),  # 3160200
+    ((10, 10, 10, 10), _TRUTHS[1], 97.5),  # measured 2623304 bytes
+    ((100, 100, 100, 100), _TRUTHS[1], 97.75),  # 2623304
+    ((1000, 1000, 1000, 1000), _TRUTHS[1], 98.25),  # 2623416
+    ((40, 160, 25, 400), _TRUTHS[1], 97.75),  # 2623304
+    ((2**62,) * 4, _TRUTHS[1], 98.5),  # 3160632
+    ((2**62,) * 4, _TRUTHS[2], 98.5),  # 3160624
 ]
 
 
@@ -473,4 +603,28 @@ def test_chunk_temporaries_stay_pinned(design, truth, kib32):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= kib32 * 32 * 1024
+
+
+# Peak memory of one query's `_strata` (numpy 2.4), in the same unit.  The
+# benchmark's n = 100 design builds its largest tables, two of 6 * 101**2
+# floats (957 KiB); strata of `BLOCK_ROWS` count pairs build the largest any
+# query can, two of one block's six rows of terms (3 MiB).
+_STRATA_PEAKS = [
+    ((100, 100, 100, 100), 35.0),  # measured 1122184 bytes
+    (_CAP_DESIGNS[1], 101.5),  # 3297528
+]
+
+
+@pytest.mark.parametrize("design, kib32", _STRATA_PEAKS)
+def test_stratum_tables_stay_pinned(design, kib32):
+    cells, _ = _cells(_TRUTHS[1], design)
+    power._strata(cells)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        strata = power._strata(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.nbytes for t in strata) == 2 * 6 * 8 * (design[0] + 1) * (design[1] + 1)
     assert peak <= kib32 * 32 * 1024
