@@ -29,7 +29,7 @@ import re
 import sys
 
 from . import coords, power, table, volume
-from .errors import ConfigError, EffectGeomError
+from .errors import ConfigError, EffectGeomError, OutOfDomainError
 from .homogeneity import (
     COMPAT_SYSTEMS,
     HomogeneityQuery,
@@ -81,22 +81,15 @@ def _stratum_report(s: StratumPair) -> dict[str, float]:
     }
 
 
-def _interactions(r0: dict[str, float], r1: dict[str, float]) -> dict[str, float | None]:
-    """The four interaction contrasts; ``log_eta`` is None where a stratum's eta is 0."""
-    eta0, eta1 = r0["eta"], r1["eta"]
-    log_eta = math.log(eta1) - math.log(eta0) if eta0 > 0.0 and eta1 > 0.0 else None
-    return {
-        "rd": r1["rd"] - r0["rd"],
-        "log_rr": math.log(r1["rr"]) - math.log(r0["rr"]),
-        "log_or": math.log(r1["or"]) - math.log(r0["or"]),
-        "log_eta": log_eta,
-    }
-
-
 def cmd_measures(args) -> tuple:
     t = RiskTable(p00=args.p00, p01=args.p01, p10=args.p10, p11=args.p11)
     strata = [_stratum_report(t.stratum(v)) for v in (0, 1)]
-    inter = _interactions(*strata)
+    try:  # each interaction is a cross-stratum shift of a `coords` system
+        log_eta = coords.to_rr_eta(t).e1
+    except OutOfDomainError:  # a stratum's eta is 0
+        log_eta = None
+    inter = {"rd": strata[1]["rd"] - strata[0]["rd"], "log_rr": coords.to_poisson(t).alpha1,
+             "log_or": coords.to_logistic(t).a1, "log_eta": log_eta}
     payload = {
         "table": {"p00": t.p00, "p01": t.p01, "p10": t.p10, "p11": t.p11},
         "strata": [{"stratum": v, **strata[v]} for v in (0, 1)],
@@ -187,7 +180,8 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
     """Parse the volume configuration document.
 
     Flat ``key = value`` pairs (system, seed, n_samples, optional bounds)
-    followed by one ``[target NAME]`` section per requested target.  The
+    followed by one ``[target NAME]`` section per requested target, each key
+    and each target at most once.  The
     keys come back as keyword arguments of `volume.PriorSpec`.  Raises
     `ConfigError` with the offending line number.
     """
@@ -205,7 +199,10 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
             parts = inner.split()
             if len(parts) != 2 or parts[0] != "target":
                 raise ConfigError(f"line {lineno}: expected [target NAME], got {raw.strip()!r}")
-            targets.append(_parse_name("target", parts[1], MEASURES, f"line {lineno}"))
+            target = _parse_name("target", parts[1], MEASURES, f"line {lineno}")
+            if target in targets:
+                raise ConfigError(f"line {lineno}: target {target!r} is requested twice")
+            targets.append(target)
             in_sections = True
             continue
         if "=" not in line:
@@ -216,6 +213,8 @@ def parse_prior_config(text: str) -> tuple[dict, list[str]]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in keys:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice")
         keys[key] = _CONFIG_KEYS[key](value.strip(), f"line {lineno}")
     for required in ("system", "seed", "n_samples"):
         if required not in keys:
@@ -242,6 +241,8 @@ def cmd_volume(args) -> tuple:
     else:
         if not args.target:
             raise ConfigError("at least one --target is required without --config")
+        if len(set(args.target)) < len(args.target):
+            raise ConfigError(f"--target names a target twice: {' '.join(args.target)}")
         defaults = {"system": "prob", "n_samples": 100_000, "seed": 0}
         keys = {k: v if getattr(args, k) is None else getattr(args, k) for k, v in defaults.items()}
         keys["bounds"] = None if args.bounds is None else _parse_bounds(args.bounds, "--bounds")
@@ -334,16 +335,11 @@ def _coords_from_args(system: str, args) -> object:
     return coords.SYSTEMS[system].cls(**{f: getattr(args, f) for f in names})
 
 
-def _from_table(system: str, t: RiskTable) -> dict[str, float]:
-    c = coords.SYSTEMS[system].forward(t)
-    return {f: getattr(c, f) for f in _field_names(system)}
-
-
 def cmd_convert(args) -> tuple:
     src = args.from_system
     dst = args.to_system
     tables = coords.SYSTEMS[src].inverse(_coords_from_args(src, args))
-    solutions = [_from_table(dst, t) for t in tables]
+    solutions = [dataclasses.asdict(coords.SYSTEMS[dst].forward(t)) for t in tables]
     payload = {"from": src, "to": dst, "count": len(solutions), "solutions": solutions}
     rows = [[i, field, v] for i, sol in enumerate(solutions) for field, v in sol.items()]
     lines = [f"{src} -> {dst}: {len(solutions)} solution(s)"]

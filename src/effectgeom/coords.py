@@ -1,13 +1,14 @@
 """Saturated coordinate systems for the 2x2 risk table.
 
 Four alternative 4-parameter coordinate systems, each a different split into
-an effect coordinate pair and a nuisance coordinate pair.  `SYSTEMS` is the
-one table of ``convert`` systems: ``prob`` and these four.
+an effect pair and a nuisance pair; each pair is (f(s0), f(s1) - f(s0)) of a
+per-stratum measure f.  `SYSTEMS` is the one table of ``convert`` systems:
+``prob`` and these four.
 
 ``poisson``    log baseline risk / log relative risk::
 
-                   beta0  = log p00            alpha0 = log p01 - log p00
-                   beta1  = log p10 - beta0    alpha1 = log p11 - log p10 - alpha0
+                   beta0  = log p00            alpha0 = log(p01 / p00)
+                   beta1  = log p10 - beta0    alpha1 = log(p11 / p10) - alpha0
 
 ``rr_op``      log odds product / log relative risk.  ``alpha0``/``alpha1``
                as above; ``gamma0`` is the log odds product of stratum 0 and
@@ -19,7 +20,7 @@ one table of ``convert`` systems: ``prob`` and these four.
                stratum 0, ``b1`` the cross-stratum baseline log-odds shift,
                ``a0`` the log odds ratio of stratum 0 and ``a1`` the log
                odds-ratio interaction.  A bijection with all real 4-tuples.
-               The same contrasts as ``poisson``, of logit in place of log.
+               The pairs of ``poisson``, of logit p0 and the log odds ratio.
 
 ``rr_eta``     log shifted-odds contrast / log relative risk.  ``e0`` is
                ``log eta`` of stratum 0 and ``e1`` the cross-stratum log-eta
@@ -40,6 +41,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -55,6 +57,7 @@ from .table import (
     in_guard,
     logit,
     odds_product,
+    odds_ratio,
     relative_risk,
 )
 
@@ -134,15 +137,10 @@ class RrEtaCoords(_FiniteCoords):
 # ---------------------------------------------------------------------------
 
 
-def _contrasts(l00: float, l01: float, l10: float, l11: float) -> tuple[float, ...]:
-    """(base, shift, effect, interaction) of the link values of cells p00, p01, p10, p11."""
-    return l00, l10 - l00, l01 - l00, l11 - l10 - (l01 - l00)
-
-
-def _log_contrast(measure, t: RiskTable) -> tuple[float, float]:
-    """(log m(s0), log m(s1) - log m(s0)) of a per-stratum ``measure`` m."""
-    base = math.log(measure(t.stratum(0)))
-    return base, math.log(measure(t.stratum(1))) - base
+def _contrast(t: RiskTable, measure, link=math.log) -> tuple[float, float]:
+    """(f(s0), f(s1) - f(s0)) of the per-stratum coordinate f = link(measure(s))."""
+    base = link(measure(t.stratum(0)))
+    return base, link(measure(t.stratum(1))) - base
 
 
 def _table_from(c, inverse_link) -> RiskTable:
@@ -168,7 +166,7 @@ def _table_from(c, inverse_link) -> RiskTable:
 
 def to_poisson(t: RiskTable) -> PoissonCoords:
     """Forward map to log baseline-risk and log relative-risk coordinates."""
-    return PoissonCoords(*_contrasts(*map(math.log, dataclasses.astuple(t))))
+    return PoissonCoords(*_contrast(t, attrgetter("p0")), *_contrast(t, relative_risk))
 
 
 def from_poisson(c: PoissonCoords) -> RiskTable:
@@ -247,7 +245,7 @@ def solve_stratum_from_rr_op(theta: float, phi: float) -> StratumPair:
 
 def to_rr_op(t: RiskTable) -> RrOpCoords:
     """Forward map to log relative-risk and log odds-product coordinates."""
-    return RrOpCoords(*_log_contrast(relative_risk, t), *_log_contrast(odds_product, t))
+    return RrOpCoords(*_contrast(t, relative_risk), *_contrast(t, odds_product))
 
 
 def from_rr_op(c: RrOpCoords) -> RiskTable:
@@ -264,7 +262,7 @@ def from_rr_op(c: RrOpCoords) -> RiskTable:
 
 def to_logistic(t: RiskTable) -> LogisticCoords:
     """Forward map to saturated log-odds coordinates."""
-    return LogisticCoords(*_contrasts(*logit(np.array(dataclasses.astuple(t))).tolist()))
+    return LogisticCoords(*_contrast(t, attrgetter("p0"), logit), *_contrast(t, odds_ratio))
 
 
 def from_logistic(c: LogisticCoords) -> RiskTable:
@@ -476,7 +474,7 @@ def to_rr_eta(t: RiskTable) -> RrEtaCoords:
     for v, value in enumerate((eta(t.stratum(0)), eta(t.stratum(1)))):
         if value <= 0.0:
             raise OutOfDomainError(f"eta{v}", value, "= 0 has no log coordinate")
-    return RrEtaCoords(*_log_contrast(relative_risk, t), *_log_contrast(eta, t))
+    return RrEtaCoords(*_contrast(t, relative_risk), *_contrast(t, eta))
 
 
 def from_rr_eta(c: RrEtaCoords) -> list[RiskTable]:

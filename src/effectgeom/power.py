@@ -284,15 +284,16 @@ def _strata(cells) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Each stratum's `_combine` terms by count pair, or None; ``cells`` is `_cells`.
 
     Column e_v0 (n_v1 + 1) + e_v1 of stratum v's table holds the outer
-    difference and sum of its cells' `_cell_terms` over [0, n].  Only a
-    stratum of two alias cells with at most `BLOCK_ROWS` count pairs has one.
+    difference and sum of its cells' `_cell_terms` over [0, n], read from the
+    odd columns of their `_draw_tables` terms.  Only a stratum of two alias
+    cells with at most `BLOCK_ROWS` count pairs has one.
     """
     out = []
     for (n0, _, t0), (n1, _, t1) in (cells[:2], cells[2:]):
         if t0 is None or t1 is None or (n0 + 1) * (n1 + 1) > BLOCK_ROWS:
             out.append(None)
             continue
-        a, b = (_cell_terms(np.arange(n + 1), float(n)) for n in (n0, n1))
+        a, b = t0[2][:, 1::2], t1[2][:, 1::2]  # column 2k + 1 holds count k
         table = np.subtract(b[:, None, :], a[:, :, None])  # A_v in rows 0, 2 and 4
         np.add(a[1::2, :, None], b[1::2, None, :], out=table[1::2])  # V_v in rows 1, 3 and 5
         out.append(table.reshape(6, -1))

@@ -28,6 +28,11 @@ def rng():
     return np.random.default_rng(20250810)
 
 
+#: Risk boxes on which the forward maps' contrasts are checked: small,
+#: middling and near-1 risks.
+RISK_BOXES = {"small": (1e-6, 1e-3), "middling": (0.01, 0.99), "near_1": (0.999, 1.0 - 1e-6)}
+
+
 def random_tables(rng, n, low=1e-4, high=1.0 - 1e-4):
     """n random risk tables, entries uniform on (low, high)."""
     draws = rng.uniform(low, high, size=(n, 4))

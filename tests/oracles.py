@@ -6,8 +6,8 @@ scans instead of completion formulas, straight-line scalar arithmetic
 instead of vectorized kernels, a closed-form contrast floor with an exact
 recount and a quadrature instead of Monte Carlo, 50-digit bisection of the
 contrast instead of the package's quadratic roots, an enumeration of every
-outcome instead of simulated power, 50-digit logit and expit, and a 50-digit
-binomial pmf instead of the alias tables' log-space one.  Nothing
+outcome instead of simulated power, 50-digit log, logit and expit, and a
+50-digit binomial pmf instead of the alias tables' log-space one.  Nothing
 here imports `effectgeom.coords`.
 Production code must agree with them within the stated tolerances.
 """
@@ -358,6 +358,13 @@ def decimal_binomial_pmf(n: int, p: float) -> list[Decimal]:
         for k in range(n):
             pmf.append(pmf[-1] * (n - k) * odds / (k + 1))
         return pmf
+
+
+def decimal_log(p: float) -> Decimal:
+    """log p of the float p, in `DIGITS`-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return Decimal(p).ln()
 
 
 def decimal_logit(p: float) -> Decimal:

@@ -10,11 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectgeom import cli, coords
+from effectgeom import RiskTable, cli, coords, eta
+
+from .conftest import RISK_BOXES, random_tables
 
 CLI = [sys.executable, "-m", "effectgeom"]
 
@@ -120,10 +123,18 @@ class TestErrorContract:
             # counts above mc.MAX_COUNT are refused before any chunk is laid out
             (["volume", "--target", "rr", "--n-samples", "100000000000000000000"], {}, 3),
             (["power", *_TABLE, "--n", "10", "--reps", "100000000000000000000"], {}, 3),
+            # a setting or target given twice is refused, not overridden or run twice
+            (["volume", "--config", "{tmp}/seed_twice.cfg"], {}, 2),
+            (["volume", "--config", "{tmp}/target_twice.cfg"], {}, 2),
+            (["volume", "--target", "rr", "--target", "rr", "--n-samples", "10"], {}, 2),
         ],
     )
     def test_exit_codes(self, tmp_path, argv, env, code):
         (tmp_path / "latin1.cfg").write_bytes(b"system = prob\n# caf\xe9\n")
+        (tmp_path / "seed_twice.cfg").write_text(
+            "system = prob\nseed = 1\nseed = 2\nn_samples = 10\n[target rr]\n")
+        (tmp_path / "target_twice.cfg").write_text(
+            "system = prob\nseed = 1\nn_samples = 10\n[target rr]\n[target RR]\n")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         p = run(*argv, env={**os.environ, **env})
         assert p.returncode == code, p.stderr
@@ -260,6 +271,24 @@ class TestGoldenOutputs:
         assert out["csv"].endswith("\ninteraction_log_eta,,\n")
         assert out["plain"].endswith("\ninteraction.log_eta = nan\n")
 
+    @pytest.mark.parametrize("box", sorted(RISK_BOXES))
+    def test_measures_interactions_are_the_coordinate_shifts(self, box):
+        # bit for bit: the one log RR and log OR of `coords`; log_eta is null
+        # exactly where a stratum's eta is 0, at (0.5, 0.25) or (0.75, 0.625)
+        tables = random_tables(np.random.default_rng(2029), 100, *RISK_BOXES[box])
+        tables += [RiskTable(.5, .25, .4, .6), RiskTable(.4, .6, .75, .625),
+                   RiskTable(.5, .25, .75, .625)]
+        for t in tables:
+            argv = ["measures", "--p00", repr(t.p00), "--p01", repr(t.p01),
+                    "--p10", repr(t.p10), "--p11", repr(t.p11), "--format", "json"]
+            got = _strict_json(_run_in_process(argv)["stdout"])["interactions"]
+            assert got["log_rr"].hex() == coords.to_poisson(t).alpha1.hex(), t
+            assert got["log_or"].hex() == coords.to_logistic(t).a1.hex(), t
+            if 0.0 in (eta(t.stratum(0)), eta(t.stratum(1))):
+                assert got["log_eta"] is None, t
+            else:
+                assert got["log_eta"].hex() == coords.to_rr_eta(t).e1.hex(), t
+
     def test_measures_constant_table_zero_interactions(self):
         p = run("measures", "--p00", ".5", "--p01", ".5", "--p10", ".5", "--p11", ".5")
         lines = p.stdout.splitlines()
@@ -357,9 +386,14 @@ _GOLDEN_CASES = {
                          "--alpha0", "-0.5", "--alpha1", "0", "--e0", "0.2", "--e1", "0.1"],
     "convert_rr_eta_0": ["convert", "--from-system", "rr_eta", "--to-system", "prob",
                          "--alpha0", "0.5", "--alpha1", "0", "--e0", "0.01", "--e1", "0"],
-    # not to logistic: numpy's log differs in the last digit between SIMD levels
+    # the forward maps take every log and log odds ratio by `math.log`; `b`
+    # reads numpy's logit, which agrees at both SIMD levels on this table
     "convert_prob_rr_op": ["convert", "--from-system", "prob", "--to-system", "rr_op",
                            "--p00", ".27", "--p01", ".81", "--p10", ".46", "--p11", ".99"],
+    "convert_prob_logistic": ["convert", "--from-system", "prob", "--to-system", "logistic",
+                              "--p00", ".27", "--p01", ".81", "--p10", ".46", "--p11", ".99"],
+    "convert_prob_poisson": ["convert", "--from-system", "prob", "--to-system", "poisson",
+                             "--p00", ".27", "--p01", ".81", "--p10", ".46", "--p11", ".99"],
     "convert_out_of_domain": ["convert", "--from-system", "poisson", "--to-system", "prob",
                               "--beta0", "-0.5", "--beta1", "0", "--alpha0", "0.7",
                               "--alpha1", "0"],
@@ -508,6 +542,10 @@ class TestConfigFile:
             ("system = prob\nseed = 1\nn_samples = 10\n[target hazard]\n", 4),
             ("system = prob\nseed = 1\nn_samples = 10\nbounds = 0:1, 0:1\n[target rr]\n", 4),
             ("system = bogus\nseed = 1\nn_samples = 10\n[target rr]\n", 1),
+            # a repeated key or target names the line of its second occurrence
+            ("system = prob\nseed = 1\nseed = 2\nn_samples = 10\n[target rr]\n", 3),
+            ("system = prob\nseed = 1\nn_samples = 10\n[target rr]\n[target or]\n"
+             "[target rr]\n", 6),
         ],
     )
     def test_parse_errors_cite_line_numbers(self, tmp_path, body, lineno):

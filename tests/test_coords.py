@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,9 +33,10 @@ from effectgeom import (
 )
 from effectgeom import coords
 from effectgeom.coords import eta_attainable_vec, eta_min_log_odds_ratio_vec
+from effectgeom.table import logit
 
 from . import oracles
-from .conftest import random_tables, risk_tables
+from .conftest import RISK_BOXES, random_tables, risk_tables
 
 coefs = st.floats(min_value=-8, max_value=8, allow_nan=False)
 
@@ -173,6 +175,74 @@ class TestLogistic:
         c2 = to_logistic(from_logistic(c))
         for f in ("b0", "b1", "a0", "a1"):
             assert getattr(c2, f) == pytest.approx(getattr(c, f), abs=1e-10)
+
+
+#: Each coordinate pair and its per-stratum coordinate f: the pair is
+#: (f(s0), f(s1) - f(s0)) in every system that has it.
+_PAIRS = {
+    ("beta0", "beta1"): lambda s: math.log(s.p0),
+    ("alpha0", "alpha1"): lambda s: math.log(relative_risk(s)),
+    ("gamma0", "gamma1"): lambda s: math.log(odds_product(s)),
+    ("b0", "b1"): lambda s: logit(s.p0),
+    ("a0", "a1"): lambda s: math.log(odds_ratio(s)),
+    ("e0", "e1"): lambda s: math.log(eta(s)),
+}
+
+
+def _box_tables(box, n=300):
+    return random_tables(np.random.default_rng(2029), n, *RISK_BOXES[box])
+
+
+class TestOneContrastRule:
+    """Every forward map is two (stratum-0 value, cross-stratum shift) pairs."""
+
+    @pytest.mark.parametrize("box", sorted(RISK_BOXES))
+    def test_poisson_rr_op_and_rr_eta_share_alpha_bit_for_bit(self, box):
+        for t in _box_tables(box):
+            want = [x.hex() for x in (to_rr_op(t).alpha0, to_rr_op(t).alpha1)]
+            for c in (to_poisson(t), to_rr_eta(t)):
+                assert [c.alpha0.hex(), c.alpha1.hex()] == want, t
+
+    @pytest.mark.parametrize("box", sorted(RISK_BOXES))
+    def test_every_pair_is_a_base_and_a_shift(self, box):
+        for t in _box_tables(box):
+            s0, s1 = t.stratum(0), t.stratum(1)
+            for c in (to_poisson(t), to_rr_op(t), to_logistic(t), to_rr_eta(t)):
+                fields = list(vars(c))
+                for pair in (tuple(fields[:2]), tuple(fields[2:])):
+                    f0, f1 = _PAIRS[pair](s0), _PAIRS[pair](s1)
+                    got = [getattr(c, name).hex() for name in pair]
+                    assert got == [float(f0).hex(), float(f1 - f0).hex()], (t, pair)
+
+
+def _ulps(got: float, want: Decimal) -> float:
+    """|got - want| in ulps of max(1, |want|): absolute below 1, relative above."""
+    return float(abs(Decimal(got) - want)) / math.ulp(max(1.0, abs(float(want))))
+
+
+class TestContrastAccuracy:
+    """``poisson``'s alpha and ``logistic``'s a against 50-digit logs of the same risks.
+
+    The log of each stratum's ratio carries one rounding of the ratio, an
+    absolute error of about 2**-53.  A contrast of the four cells' logs
+    would carry the rounding of each log, about ulp(log p) / 2 apiece: up
+    to 7-17 ulps of max(1, |x|) on small risks, where log p is near -14,
+    and on ``a`` near 1, where logit p is.
+    """
+
+    @pytest.mark.parametrize("box", ["small", "near_1"])
+    def test_within_four_ulps_of_max_one_and_the_value(self, box):
+        for t in _box_tables(box, 500):
+            with localcontext() as ctx:
+                ctx.prec = oracles.DIGITS
+                cells = (t.p00, t.p01, t.p10, t.p11)
+                log = [oracles.decimal_log(p) for p in cells]
+                lgt = [oracles.decimal_logit(p) for p in cells]
+                want = {"alpha0": log[1] - log[0], "alpha1": log[3] - log[2] - (log[1] - log[0]),
+                        "a0": lgt[1] - lgt[0], "a1": lgt[3] - lgt[2] - (lgt[1] - lgt[0])}
+            got = {**vars(to_poisson(t)), **vars(to_logistic(t))}
+            for name, ref in want.items():
+                assert _ulps(got[name], ref) <= 4.0, (t, name)
 
 
 class TestEtaInfimum:

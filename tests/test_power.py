@@ -611,8 +611,8 @@ def test_chunk_temporaries_stay_pinned(design, truth, kib32):
 # floats (957 KiB); strata of `BLOCK_ROWS` count pairs build the largest any
 # query can, two of one block's six rows of terms (3 MiB).
 _STRATA_PEAKS = [
-    ((100, 100, 100, 100), 35.0),  # measured 1122184 bytes
-    (_CAP_DESIGNS[1], 101.5),  # 3297528
+    ((100, 100, 100, 100), 34.75),  # measured 1112248 bytes
+    (_CAP_DESIGNS[1], 101.0),  # 3278856
 ]
 
 
